@@ -42,12 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_group(spec):
+def _load_group(spec, consistent=False):
     """GroupSpec: a builtin selector or file:PATH with presentation
-    JSON."""
+    JSON.  consistent=True also runs the deep associativity check on
+    file groups, for paths whose results assume a consistent
+    presentation and cannot detect one that is not."""
     if spec.startswith("file:"):
         with open(spec[5:], "r", encoding="utf-8") as fh:
-            return presentation_from_json(json.load(fh))
+            group = presentation_from_json(json.load(fh))
+        if consistent:
+            group.validate(deep=True)
+        return group
     return builtin(spec)
 
 
@@ -105,7 +110,7 @@ def _parse_order(text, kind):
 
 
 def cmd_embed(args):
-    group = _load_group(args.group)
+    group = _load_group(args.group, consistent=args.kind == "nickel")
     order = _parse_order(args.order, args.kind)
     if args.kind == "jennings":
         result = jennings_embedding(
@@ -178,7 +183,7 @@ def _jennings_survey(group):
 
 
 def cmd_orderings(args):
-    group = _load_group(args.group)
+    group = _load_group(args.group, consistent=args.kind == "nickel")
     if args.kind == "jennings":
         records = _jennings_survey(group)
         mode = "named"

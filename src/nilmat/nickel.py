@@ -8,11 +8,21 @@ give a faithful rational representation; reordering the basis can make
 every generator image integral and unitriangular, which is what the
 embedding below looks for.
 
-Action polynomials are recovered by exact interpolation on integer
-grids rather than by symbolic composition: evaluate the translated
-function on a tensor grid, solve per-axis Vandermonde systems over the
-rationals, and confirm the result on off-grid points, doubling the
-grid degree until it does.
+Translates are recovered exactly from their values at integer points,
+with a degree bound known in advance.  Weight the generators so that
+every x_k in the word of a relation [x_j, x_i] has w_k >= w_i + w_j,
+give the coordinate t_k the weight w_k, and let wdeg(f) be the largest
+sum(e_k * w_k) over the monomials of f.  The k-th coordinate of h g is
+then a polynomial in h of weighted degree at most w_k (the Deep Thought
+bound), so every translate of f has weighted degree at most wdeg(f).
+The smallest such weights are read off the relations; they never
+exceed the declared ones, and equal them on the stock groups.
+Its Newton coefficients therefore live on the lower set of exponents m
+with sum(m_k * w_k) <= wdeg(f); forward differences of the values on
+that set give them, and nothing needs to be sampled or checked outside
+it.  The bound, and so the result, assumes a consistent presentation:
+an inconsistent one gives a wrong module without an error, so check
+presentations from outside with validate(deep=True).
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import lru_cache
 
 from .distortion import GuardError, SubgroupGens, distortion_degree
 from .jennings import EmbeddingResult
@@ -137,47 +146,88 @@ class CoordinatePolynomial:
         return f"CoordinatePolynomial({' + '.join(bits)})"
 
 
-@lru_cache(maxsize=None)
-def _vandermonde_inverse(degree):
-    """Inverse of the Vandermonde matrix on nodes 0..degree."""
-    size = degree + 1
-    a = [
-        [Fraction(x**j) for j in range(size)]
-        + [Fraction(1 if c == x else 0) for c in range(size)]
-        for x in range(size)
-    ]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [e * inv for e in a[col]]
-        for r in range(size):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [e - f * g for e, g in zip(a[r], a[col])]
-    return tuple(tuple(row[size:]) for row in a)
+def _lower_set(weights, top):
+    """Exponent tuples m with sum(m_k * weights[k]) <= top, in lex
+    order."""
+    if not weights:
+        yield ()
+        return
+    w, rest = weights[0], weights[1:]
+    for e in range(top // w + 1):
+        for tail in _lower_set(rest, top - e * w):
+            yield (e,) + tail
 
 
-def _interpolate(values, nvars, degree):
-    """Tensor-grid interpolation: values on {0..degree}^nvars to a
-    polynomial, one exact Vandermonde solve per axis."""
-    vinv = _vandermonde_inverse(degree)
-    table = values
-    for axis in range(nvars):
-        buckets = {}
-        for point, val in table.items():
-            rest = point[:axis] + point[axis + 1 :]
-            buckets.setdefault(rest, {})[point[axis]] = val
-        table = {}
-        for rest, per_node in buckets.items():
-            for e in range(degree + 1):
-                c = Fraction(0)
-                for node, val in per_node.items():
-                    if val:
-                        c += vinv[e][node] * val
-                if c:
-                    table[rest[:axis] + (e,) + rest[axis:]] = c
-    return CoordinatePolynomial(nvars, table)
+def _binomial_rows(n):
+    """Coefficients of C(a, 0) .. C(a, n) as polynomials in a."""
+    rows = [[Fraction(1)]]
+    for k in range(1, n + 1):
+        prev = rows[-1] + [Fraction(0)]
+        rows.append([
+            ((prev[e - 1] if e else 0) - (k - 1) * prev[e]) / k
+            for e in range(k + 1)
+        ])
+    return rows
+
+
+def _newton(vals):
+    """Forward differences: vals[i] becomes Delta^i vals(0)."""
+    for level in range(1, len(vals)):
+        for i in range(len(vals) - 1, level - 1, -1):
+            vals[i] -= vals[i - 1]
+    return vals
+
+
+def _relation_weights(p):
+    """Smallest weights with w_k >= w_i + w_j whenever x_k occurs in the
+    word of [x_j, x_i]; the word sits past x_j, so one pass suffices."""
+    weights = []
+    for k in range(p.M):
+        weights.append(max(
+            (
+                weights[i - 1] + weights[j - 1]
+                for (j, i), word in p.relations.items()
+                if word[k]
+            ),
+            default=1,
+        ))
+    return weights
+
+
+def _translate(f, word, p):
+    """Polynomial for h -> f(h * word^-1), from its values on the lower
+    set S of exponents of weighted degree <= wdeg(f); see the module
+    docstring for why S suffices."""
+    weights = _relation_weights(p)
+    top = max(
+        (sum(e * w for e, w in zip(mono, weights)) for mono in f.terms),
+        default=0,
+    )
+    ginv = p.inverse(word)
+    points = list(_lower_set(weights, top))
+    table = {j: f.evaluate(p.multiply(j, ginv)) for j in points}
+    # lines of S parallel to each axis, each in increasing order from 0
+    lines = []
+    for k in range(p.M):
+        by_rest = {}
+        for m in points:
+            by_rest.setdefault(m[:k] + m[k + 1 :], []).append(m)
+        lines.extend(by_rest.values())
+    # All differencing precedes all expanding.  A difference reads only
+    # points below it, which S holds; an expansion reads points above
+    # it, and the Newton coefficients there are zero only once every
+    # axis has been differenced.
+    for line in lines:
+        for m, v in zip(line, _newton([table[m] for m in line])):
+            table[m] = v
+    binom = _binomial_rows(top)
+    for line in lines:
+        coeffs = [table[m] for m in line]
+        for e, m in enumerate(line):
+            table[m] = sum(
+                coeffs[n] * binom[n][e] for n in range(e, len(coeffs))
+            )
+    return CoordinatePolynomial(p.M, table)
 
 
 class FunctionModule:
@@ -212,54 +262,6 @@ class FunctionModule:
         )
 
 
-class _ModuleBuilder:
-    _MAX_DEGREE = 16
-
-    def __init__(self, presentation):
-        self.p = presentation
-        self.nvars = presentation.M
-        self._shift_cache = {}
-
-    def _shifted(self, k, e, point):
-        """Coordinates of (element at point) * x_k^(-e)."""
-        key = (k, e, point)
-        got = self._shift_cache.get(key)
-        if got is None:
-            step = self.p.power(self.p.generator(k), -e)
-            got = self.p.multiply(point, step)
-            self._shift_cache[key] = got
-        return got
-
-    def act(self, f, k, e):
-        """Polynomial for h -> f(h * x_k^(-e)), by interpolation."""
-        degree = 2
-        while True:
-            grid = itertools.product(
-                range(degree + 1), repeat=self.nvars
-            )
-            values = {}
-            for point in grid:
-                values[point] = f.evaluate(self._shifted(k, e, point))
-            poly = _interpolate(values, self.nvars, degree)
-            ok = True
-            for r in range(3):
-                probe = tuple(
-                    degree + 1 + r + t for t in range(self.nvars)
-                )
-                truth = f.evaluate(self._shifted(k, e, probe))
-                if poly.evaluate(probe) != truth:
-                    ok = False
-                    break
-            if ok:
-                return poly
-            degree *= 2
-            if degree > self._MAX_DEGREE:
-                raise RuntimeError(
-                    "translated coordinate function is not polynomial "
-                    "within the degree cap"
-                )
-
-
 def act(f, word, presentation):
     """Right translate of a coordinate function by a group element.
 
@@ -271,26 +273,22 @@ def act(f, word, presentation):
         raise ValueError("function and presentation sizes differ")
     if len(word) != presentation.M:
         raise ValueError("exponent tuple has wrong length")
-    builder = _ModuleBuilder(presentation)
-    out = f
-    for k, e in enumerate(word, start=1):
-        if e:
-            out = builder.act(out, k, e)
-    return out
+    return _translate(f, word, presentation)
 
 
 def function_module(presentation):
     """Close the span of coordinate projections under translation.
 
     Seeds the basis with t_1..t_M and the constant, then repeatedly
-    applies every generator and inverse to every basis function,
-    reducing against the basis by graded-lex leading monomials.  A
+    applies every generator to every basis function, reducing against
+    the basis by graded-lex leading monomials.  Each generator acts
+    injectively on the finite-dimensional span, so a span closed under
+    the generators is closed under their inverses too.  A
     nonzero residue joins the basis sign-normalized but not rescaled,
     so forced functions keep their natural denominators.  Action rows
     are recorded as they are computed; entries over basis elements
     discovered later are zero by construction.
     """
-    builder = _ModuleBuilder(presentation)
     m = presentation.M
     basis = []
     labels = []
@@ -338,24 +336,23 @@ def function_module(presentation):
         )
     insert(CoordinatePolynomial.constant(m), "1")
 
-    rows = {}  # (source index, generator, sign) -> coefficient dict
+    rows = {}  # (source index, generator) -> coefficient dict
     extras = 0
     idx = 0
     while idx < len(basis):
         f = basis[idx]
         for k in range(1, m + 1):
-            for e in (1, -1):
-                moved = builder.act(f, k, e)
-                residue = _reduce(moved)
-                if not residue.is_zero:
-                    lead = residue.leading()
-                    if residue.terms[lead] < 0:
-                        residue = residue.scaled(-1)
-                    extras += 1
-                    lead_rows[lead] = len(basis)
-                    basis.append(residue)
-                    labels.append(f"q{extras}")
-                rows[(idx, k, e)] = _express(moved)
+            moved = _translate(f, presentation.generator(k), presentation)
+            residue = _reduce(moved)
+            if not residue.is_zero:
+                lead = residue.leading()
+                if residue.terms[lead] < 0:
+                    residue = residue.scaled(-1)
+                extras += 1
+                lead_rows[lead] = len(basis)
+                basis.append(residue)
+                labels.append(f"q{extras}")
+            rows[(idx, k)] = _express(moved)
         idx += 1
 
     dim = len(basis)
@@ -363,7 +360,7 @@ def function_module(presentation):
     for k in range(1, m + 1):
         mat = []
         for i in range(dim):
-            coeffs = rows.get((i, k, 1))
+            coeffs = rows.get((i, k))
             if coeffs is None:
                 # basis element appeared after the sweep reached it;
                 # cannot happen because the sweep covers every index

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, composition."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -10,6 +11,7 @@ from nilmat.distortion import SubgroupGens, subgroup_to_json
 from nilmat.matgroup import elementary
 from nilmat.presentation import (
     NilpotentPresentation,
+    builtin,
     presentation_to_json,
 )
 
@@ -66,9 +68,8 @@ def test_embed_errors_print_nothing(capsys):
     assert rc == 1 and out == ""
 
 
-def test_failed_relators_exit_2(capsys, tmp_path):
-    # a relation set that cannot hold in any group: the images are
-    # still reported, with the failure signaled through the exit code
+def write_inconsistent(tmp_path):
+    """A relation set that cannot hold in any group, as a file spec."""
     bad = NilpotentPresentation(
         5, (1, 1, 1, 2, 3),
         {(2, 1): (0, 0, 0, 1, 0), (4, 3): (0, 0, 0, 0, 1)},
@@ -76,9 +77,38 @@ def test_failed_relators_exit_2(capsys, tmp_path):
     )
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(presentation_to_json(bad)))
-    rc, out, _ = run(capsys, "embed", "jennings", f"file:{path}")
+    return f"file:{path}"
+
+
+def test_failed_relators_exit_2(capsys, tmp_path):
+    # the images are still reported, with the failure signaled through
+    # the exit code
+    rc, out, _ = run(capsys, "embed", "jennings", write_inconsistent(tmp_path))
     assert rc == 2
     assert json.loads(out)["d"] == 25
+
+
+def test_nickel_rejects_inconsistent_file_group(capsys, tmp_path):
+    spec = write_inconsistent(tmp_path)
+    for command in ("embed", "orderings"):
+        rc, out, err = run(capsys, command, "nickel", spec)
+        assert rc == 1 and out == ""
+        assert "associativity" in err
+
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(presentation_to_json(builtin("ut:3"))))
+    rc, out, _ = run(capsys, "orderings", "nickel", f"file:{good}")
+    assert rc == 0
+    assert json.loads(out)["records"][0]["unitriangular"] is True
+
+
+def test_orderings_nickel_exhaustive_stdout_is_pinned(capsys):
+    rc, out, _ = run(capsys, "orderings", "nickel", "heisenberg:2",
+                     "--exhaustive")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "261012b8d1030f96da835d5018501c27876b9ab47a12409038513718ea7ef41f"
+    )
 
 
 def test_construct_json(capsys):

@@ -17,7 +17,7 @@ from nilmat.nickel import (
     nickel_embedding,
     ordering_search,
 )
-from nilmat.presentation import builtin
+from nilmat.presentation import NilpotentPresentation, builtin
 
 
 def coord(nvars, k):
@@ -52,8 +52,9 @@ def test_act_is_a_right_action():
 
 
 def test_act_matches_pointwise_translation_off_grid():
-    # interpolation must reproduce the translated function everywhere,
-    # not just on the sample grid it was built from
+    # the translate is built from values on the lower set of exponents
+    # allowed by the weighted-degree bound; it must agree with the
+    # translated function everywhere, not just on that set
     p = builtin("ut:4")
     module = function_module(p)
     quad = module.basis[7]
@@ -64,6 +65,48 @@ def test_act_matches_pointwise_translation_off_grid():
     for _ in range(10):
         h = tuple(rng.randint(-9, 9) for _ in range(6))
         assert translated.evaluate(h) == quad.evaluate(p.multiply(h, ginv))
+
+
+def mono(nvars, *ks):
+    """Exponent tuple of the product of the listed coordinates."""
+    out = [0] * nvars
+    for k in ks:
+        out[k - 1] += 1
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name, monos", [
+    # t4^2 has weighted degree 6
+    ("freenil23", [(4, 4), (2, 5)]),
+    ("ut:4:scheme", [(1, 6), (5,)]),
+    ("heisenberg:3", [(1, 7), (2, 4)]),
+    ("ut:5:scheme", [(10,), (1, 4), (3, 5)]),
+])
+def test_act_degree_bound_off_grid(name, monos):
+    p = builtin(name)
+    rng = random.Random(name)
+    f = CoordinatePolynomial(p.M, {
+        mono(p.M, *ks): Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+        for ks in monos
+    })
+    for _ in range(3):
+        word = tuple(rng.randint(-3, 3) for _ in range(p.M))
+        translated = act(f, word, p)
+        winv = p.inverse(word)
+        for _ in range(5):
+            h = tuple(rng.randint(-40, 40) for _ in range(p.M))
+            assert translated.evaluate(h) == f.evaluate(p.multiply(h, winv))
+
+
+def test_loose_declared_weights_give_the_same_module():
+    # the degree bound uses the smallest weights the relations allow, so
+    # declaring larger ones changes neither the module nor the size of
+    # the point sets it is computed from
+    rels = {(2, 1): (0, 0, 0, 0, -1), (4, 3): (0, 0, 0, 0, -1)}
+    tight = function_module(NilpotentPresentation(5, (1, 1, 1, 1, 2), rels))
+    loose = function_module(NilpotentPresentation(5, (1, 1, 1, 1, 40), rels))
+    assert loose.basis == tight.basis
+    assert loose.matrices == tight.matrices
 
 
 def test_act_rejects_size_mismatch():
@@ -82,6 +125,9 @@ def test_module_dimensions_and_labels():
         "heisenberg:1": (4, ("t12", "t23", "t13", "1")),
         "heisenberg:2": (6, ("t12", "t13", "t24", "t34", "t14", "1")),
         "freenil23": (7, ("t1", "t2", "t3", "t4", "t5", "1", "q1")),
+        "heisenberg:3": (8, (
+            "t12", "t13", "t14", "t25", "t35", "t45", "t15", "1"
+        )),
     }
     for name, (dim, labels) in cases.items():
         module = function_module(builtin(name))
@@ -104,6 +150,57 @@ def test_forced_quadratic_extras():
         (0, 1, 0, 0, 0): Fraction(-1, 2),
         (0, 0, 0, 0, 1): -1,
     })
+
+
+def offdiag(rows):
+    """Entries of a square matrix that differ from the identity, 0-based."""
+    return {
+        (i, j): e
+        for i, row in enumerate(rows)
+        for j, e in enumerate(row)
+        if e != (1 if i == j else 0)
+    }
+
+
+def test_module_goldens():
+    # full bases and action matrices, so that any way of computing the
+    # translates has to reproduce them exactly
+    module = function_module(builtin("ut:4"))
+    assert module.basis == tuple(coord(6, k) for k in range(1, 7)) + (
+        CoordinatePolynomial.constant(6),
+        CoordinatePolynomial(6, {
+            (0, 1, 1, 0, 0, 0): 1,
+            (0, 0, 0, 0, 1, 0): 1,
+            (0, 0, 0, 0, 0, 1): 1,
+        }),
+    )
+    assert {k: offdiag(m) for k, m in module.matrices.items()} == {
+        1: {(0, 6): -1, (3, 1): 1, (5, 5): 0, (5, 7): 1, (7, 5): -1,
+            (7, 7): 2},
+        2: {(1, 6): -1, (4, 2): 1},
+        3: {(2, 6): -1, (5, 3): -1, (7, 1): -1, (7, 3): -1},
+        4: {(3, 6): -1},
+        5: {(4, 6): -1, (7, 6): -1},
+        6: {(5, 6): -1, (7, 6): -1},
+    }
+
+    module = function_module(builtin("freenil23"))
+    assert module.basis == tuple(coord(5, k) for k in range(1, 6)) + (
+        CoordinatePolynomial.constant(5),
+        CoordinatePolynomial(5, {
+            (0, 2, 0, 0, 0): Fraction(1, 2),
+            (0, 1, 0, 0, 0): Fraction(-1, 2),
+            (0, 0, 0, 0, 1): -1,
+        }),
+    )
+    assert {k: offdiag(m) for k, m in module.matrices.items()} == {
+        1: {(0, 5): -1, (2, 1): 1, (3, 1): 1, (3, 2): 1, (4, 4): 0,
+            (4, 6): -1, (6, 4): 1, (6, 6): 2},
+        2: {(1, 5): -1, (4, 2): 1, (6, 1): -1, (6, 2): -1, (6, 5): 1},
+        3: {(2, 5): -1},
+        4: {(3, 5): -1},
+        5: {(4, 5): -1, (6, 5): 1},
+    }
 
 
 def test_declared_orderings():
@@ -147,6 +244,33 @@ def test_ut4_scheme_declared_embedding():
     assert res.d == 7
     assert res.unitriangular and res.relators_ok
     assert image_weights(res) == (1, 1, 2, 1, 2, 3)
+    assert res.generators == (
+        sparse(7, {(1, 7): -1, (2, 3): 1, (4, 5): 1}),
+        sparse(7, {(3, 7): -1, (5, 6): 1}),
+        sparse(7, {(2, 7): -1, (4, 6): 1}),
+        sparse(7, {(6, 7): -1}),
+        sparse(7, {(5, 7): -1}),
+        sparse(7, {(4, 7): -1}),
+    )
+
+
+def test_heisenberg2_declared_embedding_matrices():
+    res = nickel_embedding(builtin("heisenberg:2"))
+    assert res.ordering == ("t12", "t13", "t14", "t24", "t34", "1")
+    assert res.unitriangular and res.relators_ok
+    assert res.generators == (
+        sparse(6, {(1, 6): -1, (3, 4): 1}),
+        sparse(6, {(2, 6): -1, (3, 5): 1}),
+        sparse(6, {(4, 6): -1}),
+        sparse(6, {(5, 6): -1}),
+        sparse(6, {(3, 6): -1}),
+    )
+
+
+def test_ut5_scheme_declared_embedding():
+    res = nickel_embedding(builtin("ut:5:scheme"))
+    assert res.d == 11
+    assert res.unitriangular and res.relators_ok
 
 
 def test_embedding_requires_an_ordering_when_none_declared():
