@@ -30,7 +30,7 @@ from .nickel import function_module, nickel_embedding, ordering_search
 from .presentation import builtin, presentation_from_json
 from .verify import run_all
 
-__all__ = ["main", "run_verify_paper"]
+__all__ = ["main"]
 
 
 class UsageError(ValueError):
@@ -230,13 +230,8 @@ def cmd_empirical(args):
     return 0
 
 
-def run_verify_paper(report=None):
-    """Run the verification suite; returns (exit_code, records)."""
-    return run_all(report=report)
-
-
 def cmd_verify(args):
-    rc, _records = run_verify_paper(report=print)
+    rc, _records = run_all(report=print)
     return rc
 
 

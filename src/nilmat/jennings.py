@@ -20,8 +20,9 @@ from .matgroup import (
     RationalSquareMatrix,
     UnitriangularMatrix,
     level_weight,
+    matrix_to_json,
 )
-from .presentation import relation_failures
+from .presentation import evaluate_coords, relation_failures
 
 __all__ = [
     "JenningsBasis",
@@ -226,15 +227,9 @@ def jennings_embedding(presentation, order="weight-lex", truncation=None):
         )
 
     one = gens[0] ** 0
-
-    def matrix_of(vec):
-        out = one
-        for g, e in zip(gens, vec):
-            if e:
-                out = out * g ** e
-        return out
-
-    failures = relation_failures(presentation, matrix_of)
+    failures = relation_failures(
+        presentation, lambda vec: evaluate_coords(vec, gens, one)
+    )
     return EmbeddingResult(
         d=len(basis),
         ordering=basis.monomials,
@@ -255,8 +250,8 @@ def embedding_to_json(result):
     """Wire form with deterministic key order.
 
     Ordering entries may be monomial tuples or basis labels; generator
-    entries may be integer unitriangular matrices or rational ones, so
-    rows are encoded through str() uniformly.
+    entries may be integer unitriangular matrices or rational ones, and
+    matrix_to_json encodes both through str().
     """
     ordering = [
         m if isinstance(m, (int, str)) else list(m) for m in result.ordering
@@ -264,10 +259,7 @@ def embedding_to_json(result):
     return {
         "d": result.d,
         "ordering": ordering,
-        "generators": [
-            {"n": g.n, "rows": [[str(e) for e in row] for row in g.rows]}
-            for g in result.generators
-        ],
+        "generators": [matrix_to_json(g) for g in result.generators],
         "unitriangular": result.unitriangular,
     }
 

@@ -9,6 +9,8 @@ with a single off-diagonal entry.
 
 from __future__ import annotations
 
+import operator
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -17,6 +19,7 @@ __all__ = [
     "RationalSquareMatrix",
     "PositionBasis",
     "identity",
+    "binary_power",
     "elementary",
     "commutator",
     "level_weight",
@@ -113,15 +116,7 @@ class UnitriangularMatrix:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        result = identity(self.n)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, identity(self.n))
 
     @property
     def is_identity(self):
@@ -129,6 +124,23 @@ class UnitriangularMatrix:
 
     def __repr__(self):
         return f"UnitriangularMatrix({list(map(list, self.rows))!r})"
+
+
+def binary_power(x, e, one, mul=operator.mul, inverse=None):
+    """x**e by square-and-multiply; one is x**0.  A negative e powers
+    the inverse: inverse(x), or x.inverse() by default.  Neither a
+    product with one nor a square past the top bit is formed."""
+    if e < 0:
+        x = inverse(x) if inverse else x.inverse()
+        e = -e
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one if result is None else result
 
 
 def _wrap(n, rows):
@@ -541,15 +553,7 @@ class RationalSquareMatrix:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = RationalSquareMatrix.identity(self.n)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return binary_power(self, e, RationalSquareMatrix.identity(self.n))
 
     def __repr__(self):
         return f"RationalSquareMatrix({list(map(list, self.rows))!r})"
@@ -580,5 +584,18 @@ def matrix_from_json(obj):
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix row length does not match n")
-        parsed.append(tuple(int(e) for e in row))
+        parsed.append(tuple(_entry_from_json(e) for e in row))
     return UnitriangularMatrix(tuple(parsed))
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _entry_from_json(e):
+    """A JSON integer or a decimal string; floats, booleans, NaN and
+    infinities raise ValueError instead of being truncated."""
+    if isinstance(e, str) and _DECIMAL.fullmatch(e):
+        return int(e)
+    if not isinstance(e, int) or isinstance(e, bool):
+        raise ValueError(f"matrix entry {e!r} is not an integer")
+    return e

@@ -28,8 +28,6 @@ presentations from outside with validate(deep=True).
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .distortion import GuardError, SubgroupGens, distortion_degree
@@ -39,7 +37,7 @@ from .matgroup import (
     UnitriangularMatrix,
     level_weight,
 )
-from .presentation import relation_failures
+from .presentation import evaluate_coords, relation_failures
 
 __all__ = [
     "CoordinatePolynomial",
@@ -397,30 +395,35 @@ def declared_ordering(module):
     return tuple(module.labels[k] for k in order) + ("1",)
 
 
-def _permuted(matrix, perm):
-    return tuple(
-        tuple(matrix[perm[r]][perm[c]] for c in range(len(perm)))
-        for r in range(len(perm))
+def _permuted(matrix, perm, entry):
+    return tuple(tuple(entry(matrix[r][c]) for c in perm) for r in perm)
+
+
+def _support(matrices):
+    """Ordering-free facts about the generator matrices: whether they
+    are all integral with unit diagonal, and the support digraph, an
+    edge i -> j for each nonzero off-diagonal entry (i, j).  A basis
+    order gives integral unitriangular images exactly when the first
+    holds and the order is a linear extension of the digraph."""
+    shaped = all(
+        row[i] == 1 and all(e.denominator == 1 for e in row)
+        for mat in matrices
+        for i, row in enumerate(mat)
     )
+    edges = {
+        (i, j)
+        for mat in matrices
+        for i, row in enumerate(mat)
+        for j, e in enumerate(row)
+        if e and i != j
+    }
+    return shaped, edges
 
 
-def _try_unitriangular(rows):
-    """UnitriangularMatrix when the rows are integral, unit diagonal
-    and strictly upper; otherwise None."""
-    n = len(rows)
-    out = []
-    for i, row in enumerate(rows):
-        if row[i] != 1:
-            return None
-        introw = []
-        for j, e in enumerate(row):
-            if j < i and e:
-                return None
-            if e.denominator != 1:
-                return None
-            introw.append(int(e))
-        out.append(tuple(introw))
-    return UnitriangularMatrix(tuple(out))
+def _extends(perm, edges):
+    """Whether the order perm puts every edge's source first."""
+    pos = {i: r for r, i in enumerate(perm)}
+    return all(pos[i] < pos[j] for i, j in edges)
 
 
 def nickel_embedding(presentation, ordering=None):
@@ -444,91 +447,83 @@ def nickel_embedding(presentation, ordering=None):
         raise ValueError("ordering is not a permutation of basis labels")
     index = {lab: i for i, lab in enumerate(module.labels)}
     perm = [index[lab] for lab in ordering]
-    p = module.presentation
-    permuted = [
-        _permuted(module.matrices[k], perm) for k in range(1, p.M + 1)
-    ]
-    unis = [_try_unitriangular(rows) for rows in permuted]
-    unitriangular = all(u is not None for u in unis)
+    base = [module.matrices[k] for k in range(1, presentation.M + 1)]
+    shaped, edges = _support(base)
+    unitriangular = shaped and _extends(perm, edges)
     if unitriangular:
-        gens = tuple(unis)
-        images = {k: _RatMat(rows) for k, rows in enumerate(permuted, 1)}
+        gens = tuple(
+            UnitriangularMatrix(_permuted(m, perm, int)) for m in base
+        )
     else:
-        gens = tuple(_RatMat(rows) for rows in permuted)
-        images = {k: g for k, g in enumerate(gens, 1)}
-
-    def matrix_of(coords):
-        out = _RatMat.identity(module.dimension)
-        for k, e in enumerate(coords, start=1):
-            if e:
-                out = out * images[k] ** e
-        return out
-
-    relators_ok = not relation_failures(p, matrix_of)
+        gens = tuple(_RatMat(_permuted(m, perm, Fraction)) for m in base)
+    one = gens[0] ** 0
+    failures = relation_failures(
+        presentation, lambda coords: evaluate_coords(coords, gens, one)
+    )
     return EmbeddingResult(
         d=module.dimension,
         ordering=ordering,
         generators=gens,
         unitriangular=unitriangular,
         basis=module,
-        relators_ok=relators_ok,
+        relators_ok=not failures,
     )
 
 
-def ordering_search(module, mode="exhaustive", compute_degree=True):
-    """Scan basis orderings of the module for unitriangular images.
+def ordering_search(module, mode="exhaustive"):
+    """Search basis orderings of the module for unitriangular images.
 
-    Returns one record per inspected ordering: its labels, whether all
-    generator images came out integral unitriangular, and if so the
-    ambient depth of each generator image plus (optionally) the exact
-    distortion degree of the image subgroup.  mode "report-first"
-    stops at the first unitriangular hit.  The scan is factorial in
-    the dimension, hence the hard cap; NILMAT_THREADS splits the
-    permutation list across worker threads, results merged back in
-    enumeration order.
+    Records carry an ordering's labels, whether all generator images
+    come out integral unitriangular, and for such a hit the level of
+    each image and the exact distortion degree of the image subgroup.
+    Hits are the linear extensions of the support digraph (_support),
+    so only hits build matrices.  mode "exhaustive" returns a record
+    per basis permutation in itertools.permutations order, hence the
+    cap at dimension 8.  mode "report-first" returns the first hit of
+    that scan, found by one topological sort with no size cap, or []
+    when there is none.
     """
     if mode not in ("exhaustive", "report-first"):
         raise ValueError(f"unknown search mode {mode!r}")
     dim = module.dimension
-    if dim > 8:
+    if mode == "exhaustive" and dim > 8:
         raise GuardError(
-            "ordering search is capped at module dimension 8"
+            "exhaustive ordering search is capped at module dimension 8"
         )
     labels = module.labels
-    p = module.presentation
-    base = [module.matrices[k] for k in range(1, p.M + 1)]
+    base = [module.matrices[k] for k in range(1, module.presentation.M + 1)]
+    shaped, edges = _support(base)
 
-    def evaluate(perm):
-        permuted = [_permuted(mat, perm) for mat in base]
-        unis = [_try_unitriangular(rows) for rows in permuted]
-        record = {
+    def record(perm, hit):
+        rec = {
             "ordering": tuple(labels[i] for i in perm),
-            "unitriangular": all(u is not None for u in unis),
+            "unitriangular": hit,
             "weights": None,
             "degree": None,
         }
-        if record["unitriangular"]:
-            record["weights"] = tuple(level_weight(u) for u in unis)
-            if compute_degree:
-                sub = SubgroupGens(dim, unis)
-                record["degree"] = distortion_degree(sub).degree
-        return record
+        if hit:
+            unis = [UnitriangularMatrix(_permuted(m, perm, int)) for m in base]
+            rec["weights"] = tuple(level_weight(u) for u in unis)
+            rec["degree"] = distortion_degree(SubgroupGens(dim, unis)).degree
+        return rec
 
-    perms = list(itertools.permutations(range(dim)))
     if mode == "report-first":
-        for perm in perms:
-            record = evaluate(perm)
-            if record["unitriangular"]:
-                return [record]
-        return []
-    threads = int(os.environ.get("NILMAT_THREADS", "1") or "1")
-    if threads > 1:
-        chunks = [perms[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: [evaluate(p_) for p_ in c], chunks))
-        merged = [None] * len(perms)
-        for offset, part in enumerate(parts):
-            for t, record in enumerate(part):
-                merged[offset + t * threads] = record
-        return merged
-    return [evaluate(perm) for perm in perms]
+        if not shaped:
+            return []
+        # Taking, each time, the smallest index with no edge from the
+        # indices left gives the lexicographically first extension.
+        perm, left = [], set(range(dim))
+        while left:
+            i = min(
+                (j for j in left if not any((k, j) in edges for k in left)),
+                default=None,
+            )
+            if i is None:
+                return []  # a cycle: no extension
+            perm.append(i)
+            left.remove(i)
+        return [record(perm, True)]
+    return [
+        record(perm, shaped and _extends(perm, edges))
+        for perm in itertools.permutations(range(dim))
+    ]

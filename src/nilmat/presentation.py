@@ -15,7 +15,13 @@ work.
 
 from __future__ import annotations
 
-from .matgroup import PositionBasis, commutator, elementary, malcev_coordinates
+from .matgroup import (
+    PositionBasis,
+    binary_power,
+    commutator,
+    elementary,
+    malcev_coordinates,
+)
 
 __all__ = [
     "NilpotentPresentation",
@@ -115,15 +121,9 @@ class NilpotentPresentation:
         return tuple(v)
 
     def power(self, a, e):
-        base = tuple(a) if e >= 0 else self.inverse(a)
-        e = abs(e)
-        result = self._zero
-        while e:
-            if e & 1:
-                result = self.multiply(result, base)
-            base = self.multiply(base, base)
-            e >>= 1
-        return result
+        return binary_power(
+            tuple(a), e, self._zero, self.multiply, self.inverse
+        )
 
     def weight_of(self, a):
         """Lower-central depth of the element: the smallest generator

@@ -10,12 +10,12 @@ import sys
 
 import pytest
 
-from nilmat.cli import run_verify_paper
+from nilmat.verify import run_all
 
 
 @pytest.fixture(scope="session")
 def suite():
-    rc, records = run_verify_paper()
+    rc, records = run_all()
     return rc, {r["index"]: r for r in records}
 
 

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nilmat.cli import main
 from nilmat.distortion import SubgroupGens, subgroup_to_json
 from nilmat.matgroup import elementary
@@ -109,6 +111,31 @@ def test_orderings_nickel_exhaustive_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "261012b8d1030f96da835d5018501c27876b9ab47a12409038513718ea7ef41f"
     )
+
+
+def test_orderings_nickel_report_first_has_no_size_cap(capsys):
+    rc, out, err = run(capsys, "orderings", "nickel", "ut:5:scheme")
+    assert rc == 0 and err == ""
+    (record,) = json.loads(out)["records"]
+    assert record["unitriangular"] is True
+    assert record["weights"] == [1, 1, 2, 1, 2, 3, 1, 2, 3, 4]
+    assert record["degree"] == "1"
+    rc, out, err = run(capsys, "orderings", "nickel", "ut:5:scheme",
+                       "--exhaustive")
+    assert rc == 3 and out == ""
+    assert "dimension 8" in err
+
+
+@pytest.mark.parametrize("entry", ["2.7", "true", "Infinity"])
+def test_distortion_rejects_non_integer_entries(capsys, tmp_path, entry):
+    rc, out, _ = run(capsys, "construct", "--p", "3", "--q", "2")
+    payload = json.loads(out)
+    payload["generators"][0]["rows"][0][1] = "@"
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(payload).replace('"@"', entry))
+    rc, out, err = run(capsys, "distortion", f"file:{path}")
+    assert rc == 1 and out == ""
+    assert err.startswith("nilmat: error:")
 
 
 def test_construct_json(capsys):

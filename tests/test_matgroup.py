@@ -56,6 +56,7 @@ def test_inverse_and_power():
             g = random_element(rng, n)
             assert (g * g.inverse()).is_identity
             assert g ** 0 == identity(n)
+            assert g ** 1 == g and g ** -1 == g.inverse()
             assert g ** 3 == g * g * g
             assert g ** -2 == (g.inverse()) ** 2
 

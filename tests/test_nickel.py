@@ -1,11 +1,12 @@
 """Coordinate-function modules and the dual matrix construction."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilmat.distortion import GuardError
+from nilmat.distortion import GuardError, SubgroupGens, distortion_degree
 from nilmat.jennings import image_weights
 from nilmat.matgroup import RationalSquareMatrix, UnitriangularMatrix
 from nilmat.nickel import (
@@ -316,7 +317,7 @@ def test_heisenberg2_search_statistics():
 
 def test_freenil_search_finds_nothing_triangular():
     module = function_module(builtin("freenil23"))
-    records = ordering_search(module, compute_degree=False)
+    records = ordering_search(module)
     assert len(records) == 5040
     assert not any(r["unitriangular"] for r in records)
     assert ordering_search(module, mode="report-first") == []
@@ -341,13 +342,68 @@ def test_search_mode_and_dimension_guard():
         ordering_search(big)
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    module = function_module(builtin("heisenberg:2"))
-    monkeypatch.setenv("NILMAT_THREADS", "1")
-    single = ordering_search(module, compute_degree=False)
-    monkeypatch.setenv("NILMAT_THREADS", "3")
-    threaded = ordering_search(module, compute_degree=False)
-    assert single == threaded
+SMALL_MODULE_GROUPS = (
+    "ut:3", "ut:3:scheme", "heisenberg:1", "heisenberg:2",
+    "heisenberg:3", "freenil23", "ut:4", "ut:4:scheme",
+)
+
+
+def _first_unitriangular_permutation(module):
+    """Brute force, entry by entry: the first basis permutation in
+    itertools order under which every generator matrix is integral
+    unitriangular, or None."""
+    mats = [
+        module.matrices[k] for k in range(1, module.presentation.M + 1)
+    ]
+    n = module.dimension
+    for perm in itertools.permutations(range(n)):
+        if all(
+            m[perm[r]][perm[c]] == (r == c) if r >= c
+            else m[perm[r]][perm[c]].denominator == 1
+            for m in mats
+            for r in range(n)
+            for c in range(n)
+        ):
+            return perm
+    return None
+
+
+@pytest.mark.parametrize("name", SMALL_MODULE_GROUPS)
+def test_report_first_is_first_unitriangular_ordering(name):
+    p = builtin(name)
+    module = function_module(p)
+    assert module.dimension <= 8
+    perm = _first_unitriangular_permutation(module)
+    expected = []
+    if perm is not None:
+        ordering = tuple(module.labels[i] for i in perm)
+        emb = nickel_embedding(p, ordering=ordering)
+        assert emb.unitriangular
+        expected = [{
+            "ordering": ordering,
+            "unitriangular": True,
+            "weights": image_weights(emb),
+            "degree": distortion_degree(
+                SubgroupGens(emb.d, emb.generators)
+            ).degree,
+        }]
+    assert ordering_search(module, mode="report-first") == expected
+    # heisenberg:3's exhaustive scan computes 1260 degrees (about 13 s)
+    if name != "heisenberg:3":
+        hits = [r for r in ordering_search(module) if r["unitriangular"]]
+        assert hits[:1] == expected
+
+
+def test_report_first_has_no_dimension_cap():
+    module = function_module(builtin("ut:5:scheme"))
+    assert module.dimension == 11
+    records = ordering_search(module, mode="report-first")
+    assert records == [{
+        "ordering": declared_ordering(module),
+        "unitriangular": True,
+        "weights": (1, 1, 2, 1, 2, 3, 1, 2, 3, 4),
+        "degree": Fraction(1),
+    }]
 
 
 def test_module_is_immutable():

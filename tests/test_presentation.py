@@ -195,6 +195,12 @@ def test_inverse_and_power_words():
         for _ in range(30):
             a = tuple(rng.randint(-4, 4) for _ in range(p.M))
             assert p.multiply(a, p.inverse(a)) == p.identity()
+            e = rng.randint(-5, 5)
+            step = a if e >= 0 else p.inverse(a)
+            want = p.identity()
+            for _ in range(abs(e)):
+                want = p.multiply(want, step)
+            assert p.power(a, e) == want
         assert p.power(p.generator(1), 5) == tuple(
             5 if k == 0 else 0 for k in range(p.M)
         )
