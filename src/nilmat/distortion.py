@@ -5,8 +5,13 @@ word length in the ambient group.  For unitriangular groups the
 asymptotic comparison is polynomial with a rational exponent, and that
 exponent is computed exactly here: ambient depth is level_weight, and
 depth inside the subgroup is the position of an element in the
-subgroup's isolated lower central series, decided through rational
-Lie-algebra spans of logarithms.
+subgroup's isolated lower central series.  By the Malcev
+correspondence that position is the largest k with log h in L_k, the
+k-th lower central term of the rational Lie algebra L_1 generated by
+the logarithms of the subgroup's generators; LieAlgebraSpan holds the
+whole series L_1 >= L_2 >= ... in integer echelon form.  The group-side
+series (lower_central_gens, commutators of the generators) serves only
+the independent oracle depth_by_powers.
 
 Everything is exact.  Searches that could blow up (brute-force word
 enumeration, metric balls) take explicit bounds and raise GuardError
@@ -15,18 +20,21 @@ rather than start an open-ended computation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .matgroup import (
     PositionBasis,
     RationalNilpotentMatrix,
     UnitriangularMatrix,
+    _log_numerator,
+    _wrap,
     commutator,
     elementary,
     identity,
     level_weight,
-    log_unipotent,
     matrix_from_json,
     matrix_to_json,
 )
@@ -77,36 +85,24 @@ def _xgcd(a, b):
     return old_r, old_u, old_v
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SubgroupGens:
     """A finitely generated subgroup, given by matrix generators.
 
     Immutable and hashable so computed invariants can be cached on it.
     """
 
-    __slots__ = ("n", "generators")
+    n: int
+    generators: tuple
 
-    def __init__(self, n, generators):
-        generators = tuple(generators)
+    def __post_init__(self):
+        generators = tuple(self.generators)
         for g in generators:
             if not isinstance(g, UnitriangularMatrix):
                 raise ValueError("generators must be unitriangular matrices")
-            if g.n != n:
+            if g.n != self.n:
                 raise ValueError("generator size does not match ambient size")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubgroupGens is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubgroupGens)
-            and self.n == other.n
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.generators))
 
     def __repr__(self):
         return f"SubgroupGens(n={self.n}, {len(self.generators)} generators)"
@@ -245,13 +241,13 @@ def standardize(sub):
             a = sifter.slots.get(ka)
             if a is None:
                 continue
+            ai = a.inverse()
             for kb in sorted(snapshot):
                 if kb == ka:
                     continue
                 b = sifter.slots.get(kb)
                 if b is None:
                     continue
-                ai = a.inverse()
                 sifter.sift(ai * b * a)
                 sifter.drain()
                 b = sifter.slots.get(kb)
@@ -381,55 +377,106 @@ def lower_central_gens(sub, k):
     return SubgroupGens(seq.n, gens)
 
 
-class LieAlgebraSpan:
-    """Rational span of nilpotent matrices, closed under the bracket.
+def _integral(m):
+    """The positive multiple of m with coprime integer entries; for a
+    group element, the multiple of its logarithm."""
+    if isinstance(m, UnitriangularMatrix):
+        m = _log_numerator(m)[0]
+    d = lcm(*(e.denominator for row in m.rows for e in row))
+    rows = [[int(e * d) for e in row] for row in m.rows]
+    g = gcd(*(e for row in rows for e in row)) or 1
+    rows = tuple(tuple(e // g for e in row) for row in rows)
+    return _wrap(m.n, rows, RationalNilpotentMatrix)
 
-    Vectors are kept in echelon form over the strictly-upper entries,
-    so containment is a single reduction pass.
+
+def _reduce(rows, vec):
+    """Reduce the integer vector vec by echelon rows, a dict from pivot
+    to (row, tag), while its leading entry sits on a pivot.
+
+    Returns the remainder's leading index (None when vec lies in the
+    span of the rows), the remainder, and the smallest tag among the
+    rows used.  The rows used are exactly those with a nonzero
+    coefficient when vec is written in the row basis.
+    """
+    vec = list(vec)
+    low = None
+    for lead, e in enumerate(vec):
+        if not e:
+            continue
+        if lead not in rows:
+            return lead, vec, low
+        row, tag = rows[lead]
+        g = gcd(row[lead], e)
+        a, c = row[lead] // g, e // g
+        vec[lead:] = [a * x - c * y for x, y in zip(vec[lead:], row[lead:])]
+        low = tag if low is None else min(low, tag)
+    return None, vec, low
+
+
+def _insert(rows, vec, tag):
+    """Add vec as a primitive echelon row unless the rows span it;
+    True when it was added."""
+    lead, vec, _ = _reduce(rows, vec)
+    if lead is not None:
+        g = gcd(*vec)
+        rows[lead] = (tuple(e // g for e in vec), tag)
+    return lead is not None
+
+
+def _independent(mats):
+    """A maximal linearly independent subset of the integer matrices,
+    each made primitive."""
+    rows = {}
+    return [_integral(m) for m in mats if _insert(rows, m.upper_vector(), 0)]
+
+
+class LieAlgebraSpan:
+    """Rational Lie algebra generated by nilpotent matrices, with its
+    lower central series.
+
+    L_1 is spanned by the left-normed brackets of the generators and
+    L_k by those of k or more of them.  W_1 is a basis of the
+    generators' span and W_{k+1} a basis of the brackets [b, g] with b
+    in W_k and g in W_1, so L_k = span(W_k, W_{k+1}, ...); the brackets
+    vanish past the matrix size.  The series is one echelon basis of
+    primitive integer vectors over the strictly-upper entries, inserted
+    deepest layer first, each row tagged with the layer it entered at:
+    the rows tagged >= k span L_k.  Scaling a vector does not change a
+    rational span, so no Fraction is formed.
+
+    Methods take nilpotent matrices or group elements, which stand for
+    their logarithms.
     """
 
-    def __init__(self, n):
+    def __init__(self, n, generators):
         self.n = n
-        self._rows = []  # (pivot index, coefficient vector) in echelon form
-        self._mats = []
+        self._rows = {}  # pivot -> (primitive integer row, layer)
+        base = _independent(map(_integral, generators))
+        layers = []
+        layer = base
+        while layer:
+            layers.append(layer)
+            layer = _independent(b.bracket(g) for b in layer for g in base)
+        for k in range(len(layers), 0, -1):
+            for mat in layers[k - 1]:
+                _insert(self._rows, mat.upper_vector(), k)
 
-    def _reduce(self, vec):
-        vec = list(vec)
-        for pivot, row in self._rows:
-            c = vec[pivot]
-            if c:
-                f = c / row[pivot]
-                for t in range(pivot, len(vec)):
-                    if row[t]:
-                        vec[t] -= f * row[t]
-        return vec
-
-    def _insert(self, mat):
-        vec = self._reduce(mat.upper_vector())
-        for pivot, e in enumerate(vec):
-            if e:
-                self._rows.append((pivot, vec))
-                self._rows.sort(key=lambda r: r[0])
-                self._mats.append(mat)
-                return True
-        return False
+    def _expand(self, mat):
+        return _reduce(self._rows, _integral(mat).upper_vector())
 
     def contains(self, mat):
-        vec = self._reduce(mat.upper_vector())
-        return not any(vec)
+        """True when mat lies in L_1."""
+        return self._expand(mat)[0] is None
 
-    def extend(self, mats):
-        """Add matrices and re-close under brackets."""
-        queue = list(mats)
-        while queue:
-            mat = queue.pop()
-            before = len(self._mats)
-            if self._insert(mat):
-                new = self._mats[-1]
-                for old in self._mats[:before]:
-                    br = new.bracket(old)
-                    if not br.is_zero:
-                        queue.append(br)
+    def depth(self, mat):
+        """The largest k with mat in L_k.  Raises ValueError for zero
+        (unbounded) and outside L_1."""
+        lead, _, k = self._expand(mat)
+        if lead is not None:
+            raise ValueError("matrix is not in the Lie algebra")
+        if k is None:
+            raise ValueError("zero has unbounded depth")
+        return k
 
     @property
     def dimension(self):
@@ -437,9 +484,10 @@ class LieAlgebraSpan:
 
 
 def lie_span(mats, n=None):
-    """Smallest bracket-closed rational span containing the matrices.
+    """Lie algebra generated by the matrices, with its lower central
+    series (see LieAlgebraSpan).
 
-    Accepts group elements (their logarithms are taken) or nilpotent
+    Accepts group elements (standing for their logarithms) or nilpotent
     rational matrices.
     """
     mats = list(mats)
@@ -447,77 +495,53 @@ def lie_span(mats, n=None):
         if not mats:
             raise ValueError("cannot infer size from an empty list")
         n = mats[0].n
-    span = LieAlgebraSpan(n)
-    span.extend(
-        log_unipotent(m) if isinstance(m, UnitriangularMatrix) else m
-        for m in mats
-    )
-    return span
+    return LieAlgebraSpan(n, mats)
 
 
-@lru_cache(maxsize=None)
-def _depth_span(seq, k):
-    """Lie span of the k-th lower central subgroup of the sequence."""
-    gens = lower_central_gens(seq, k)
-    span = LieAlgebraSpan(seq.n)
-    span.extend(log_unipotent(g) for g in gens.generators)
-    return span
+@lru_cache(maxsize=128)
+def _slot_series(seq):
+    return lie_span(seq.slots, seq.n)
 
 
 def subgroup_depth(h, sub):
     """Depth of h in the subgroup's isolated lower central series.
 
     The largest k such that some positive power of h lies in the k-th
-    lower central subgroup; equivalently log(h) lies in the rational
-    Lie algebra spanned by that subgroup.  Raises ValueError for the
-    identity (unbounded) and for nonmembers.
+    lower central subgroup; by the Malcev correspondence, the largest k
+    with log(h) in L_k, the k-th lower central term of the Lie algebra
+    generated by the logarithms of the slots.  That series is built
+    once per sequence.  depth_by_powers checks this on the group side.
+    Raises ValueError for the identity (unbounded) and for nonmembers.
     """
     seq = _as_sequence(sub)
     if h.is_identity:
         raise ValueError("identity has unbounded depth")
     if member_certificate(h, seq) is None:
         raise ValueError("element is not a member of the subgroup")
-    logh = log_unipotent(h)
-    k = 1
-    while True:
-        nxt = _depth_span(seq, k + 1)
-        if nxt.dimension and nxt.contains(logh):
-            k += 1
-        else:
-            return k
+    return _slot_series(seq).depth(h)
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Stratum:
     """One depth stratum of a standardized sequence: ambient depth m,
     subgroup depth t of the shallowest slot at that depth, and the
     slot witnessing t."""
 
-    __slots__ = ("m", "t", "witness")
-
-    def __init__(self, m, t, witness):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Stratum is immutable")
+    m: int
+    t: int
+    witness: UnitriangularMatrix
 
     def __repr__(self):
         return f"Stratum(m={self.m}, t={self.t})"
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class DistortionReport:
     """Exact distortion degree with its witness and strata."""
 
-    __slots__ = ("degree", "witness", "strata")
-
-    def __init__(self, degree, witness, strata):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "strata", tuple(strata))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DistortionReport is immutable")
+    degree: Fraction
+    witness: UnitriangularMatrix
+    strata: tuple
 
     def __repr__(self):
         return f"DistortionReport(degree={self.degree})"
@@ -565,7 +589,7 @@ def distortion_degree(sub):
         strata.append(Stratum(m, t, seq.slots[wit]))
     best = max(strata, key=lambda s: Fraction(s.m, s.t))
     return DistortionReport(
-        Fraction(best.m, best.t), best.witness, strata
+        Fraction(best.m, best.t), best.witness, tuple(strata)
     )
 
 
@@ -618,27 +642,10 @@ def brute_force_degree(sub, len_bound=3):
     seq = _as_sequence(sub)
     if not seq.slots:
         raise ValueError("subgroup is trivial; distortion is undefined")
-    letters = []
-    for s in seq.slots:
-        letters.append(s)
-        letters.append(s.inverse())
-    frontier = {identity(seq.n)}
-    values = set()
-    for _ in range(len_bound):
-        nxt = set()
-        for w in frontier:
-            for g in letters:
-                nxt.add(w * g)
-        values |= nxt
-        frontier = nxt
-    best = Fraction(0)
-    for h in values:
-        if h.is_identity:
-            continue
-        r = Fraction(level_weight(h), subgroup_depth(h, seq))
-        if r > best:
-            best = r
-    return best
+    return max((
+        Fraction(level_weight(h), subgroup_depth(h, seq))
+        for h, d in ball(seq.n, len_bound, seq.slots).items() if d
+    ), default=Fraction(0))
 
 
 def depth_by_powers(h, sub, max_power=64):
@@ -686,6 +693,13 @@ def ball(n, radius, generators=None):
         gens = list(generators)
     if radius > 10:
         raise GuardError("ball radius is capped at 10")
+    return _bfs(n, gens, radius)
+
+
+def _bfs(n, gens, radius, done=None):
+    """Breadth-first search of the word metric from the identity out to
+    the radius, as a dict from matrix to distance.  Stops early once
+    the frontier is empty or done(dist) holds."""
     letters = []
     for g in gens:
         letters.append(g)
@@ -695,6 +709,8 @@ def ball(n, radius, generators=None):
     dist = {identity(n): 0}
     frontier = [identity(n)]
     for d in range(1, radius + 1):
+        if not frontier or (done is not None and done(dist)):
+            break
         nxt = []
         for w in frontier:
             for g in letters:
@@ -724,40 +740,13 @@ def empirical_distortion(sub, radius, h_cap=None):
     targets = {
         m: d for m, d in ambient.items() if member(m, seq)
     }
-    hdist = {identity(seq.n): 0}
-    frontier = [identity(seq.n)]
-    letters = []
-    for s in seq.slots:
-        letters.append(s)
-        letters.append(s.inverse())
-    missing = set(targets) - set(hdist)
-    d = 0
-    while missing and d < h_cap:
-        d += 1
-        nxt = []
-        for w in frontier:
-            for g in letters:
-                v = w * g
-                if v not in hdist:
-                    hdist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-        missing -= set(hdist)
-        if not frontier:
-            break
+    hdist = _bfs(
+        seq.n, seq.slots, h_cap, lambda dist: all(m in dist for m in targets)
+    )
     delta = {}
     capped = {}
     for r in range(1, radius + 1):
-        best = 0
-        hit_cap = False
-        for m, dG in targets.items():
-            if dG > r:
-                continue
-            if m in hdist:
-                best = max(best, hdist[m])
-            else:
-                best = max(best, h_cap)
-                hit_cap = True
-        delta[r] = best
-        capped[r] = hit_cap
+        near = [m for m, dG in targets.items() if dG <= r]
+        delta[r] = max((hdist.get(m, h_cap) for m in near), default=0)
+        capped[r] = any(m not in hdist for m in near)
     return {"radius": radius, "h_cap": h_cap, "delta": delta, "capped": capped}

@@ -143,9 +143,9 @@ def binary_power(x, e, one, mul=operator.mul, inverse=None):
     return one if result is None else result
 
 
-def _wrap(n, rows):
+def _wrap(n, rows, cls=UnitriangularMatrix):
     """Build a matrix from known-good rows, skipping validation."""
-    m = object.__new__(UnitriangularMatrix)
+    m = object.__new__(cls)
     object.__setattr__(m, "n", n)
     object.__setattr__(m, "rows", rows)
     return m
@@ -301,14 +301,17 @@ class RationalNilpotentMatrix:
     """Strictly upper triangular matrix over the rationals.
 
     The Lie-algebra side of the package: closed under +, -, scalar
-    multiplication, matrix product and bracket().
+    multiplication, matrix product and bracket().  Entries are ints or
+    Fractions; int entries stay ints through every operation, so an
+    integer-scaled matrix brackets without forming a Fraction.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
         rows = tuple(
-            tuple(Fraction(e) for e in row) for row in rows
+            tuple(e if type(e) is int else Fraction(e) for e in row)
+            for row in rows
         )
         n = len(rows)
         for i, row in enumerate(rows):
@@ -323,10 +326,6 @@ class RationalNilpotentMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalNilpotentMatrix is immutable")
 
-    @classmethod
-    def zero(cls, n):
-        return cls(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
-
     def __eq__(self, other):
         return (
             isinstance(other, RationalNilpotentMatrix)
@@ -337,26 +336,23 @@ class RationalNilpotentMatrix:
         return hash(self.rows)
 
     def __add__(self, other):
-        return RationalNilpotentMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return _wrap(self.n, tuple(
+            tuple(map(operator.add, ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ), RationalNilpotentMatrix)
 
     def __sub__(self, other):
-        return RationalNilpotentMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return _wrap(self.n, tuple(
+            tuple(map(operator.sub, ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ), RationalNilpotentMatrix)
 
     def scale(self, c):
-        c = Fraction(c)
-        return RationalNilpotentMatrix(
-            tuple(tuple(c * a for a in row) for row in self.rows)
-        )
+        if type(c) is not int:
+            c = Fraction(c)
+        return _wrap(self.n, tuple(
+            tuple(c * a for a in row) for row in self.rows
+        ), RationalNilpotentMatrix)
 
     def __mul__(self, other):
         if not isinstance(other, RationalNilpotentMatrix):
@@ -364,7 +360,7 @@ class RationalNilpotentMatrix:
         n = self.n
         a = self.rows
         b = other.rows
-        out = [[Fraction(0)] * n for _ in range(n)]
+        out = [[0] * n for _ in range(n)]
         for i in range(n):
             ai = a[i]
             for k in range(i + 1, n):
@@ -375,7 +371,7 @@ class RationalNilpotentMatrix:
                     for j in range(k + 1, n):
                         if bk[j]:
                             oi[j] += c * bk[j]
-        return RationalNilpotentMatrix(tuple(tuple(r) for r in out))
+        return _wrap(n, tuple(map(tuple, out)), RationalNilpotentMatrix)
 
     def bracket(self, other):
         """Lie bracket self*other - other*self."""
@@ -387,9 +383,8 @@ class RationalNilpotentMatrix:
 
     def upper_vector(self):
         """Strictly-upper entries flattened row-major, for span work."""
-        n = self.n
         return tuple(
-            self.rows[i][j] for i in range(n) for j in range(i + 1, n)
+            e for i, row in enumerate(self.rows) for e in row[i + 1:]
         )
 
     def __repr__(self):
@@ -401,13 +396,20 @@ def log_unipotent(m):
 
     Finite alternating series in N = m - I; exact over the rationals.
     """
+    num, den = _log_numerator(m)
+    return num.scale(Fraction(1, den))
+
+
+def _log_numerator(m):
+    """(num, den) with log(m) == num / den: num is a nilpotent matrix
+    with int entries and den a positive int, found without forming a
+    Fraction."""
     n = m.n
     nil = [
         [m.rows[i][j] if j > i else 0 for j in range(n)] for i in range(n)
     ]
-    # Accumulate powers of N with integer arithmetic; divide once at
-    # the end.  num/den hold the running sum of (-1)^(k+1) N^k / k over
-    # a common denominator.
+    # Accumulate powers of N with integer arithmetic.  num/den hold the
+    # running sum of (-1)^(k+1) N^k / k over a common denominator.
     den = 1
     num = [[0] * n for _ in range(n)]
     term = nil
@@ -433,12 +435,7 @@ def log_unipotent(m):
                             xi[j] += c * np_[j]
         term = nxt
         k += 1
-    return RationalNilpotentMatrix(
-        tuple(
-            tuple(Fraction(num[i][j], den) for j in range(n))
-            for i in range(n)
-        )
-    )
+    return _wrap(n, tuple(map(tuple, num)), RationalNilpotentMatrix), den
 
 
 def exp_nilpotent(x):
@@ -458,7 +455,7 @@ def exp_nilpotent(x):
     while not term.is_zero:
         for i in range(n):
             for j in range(i + 1, n):
-                acc[i][j] += term.rows[i][j] / fact
+                acc[i][j] += Fraction(term.rows[i][j], fact)
         term = term * x
         k += 1
         fact *= k
@@ -597,5 +594,5 @@ def _entry_from_json(e):
     if isinstance(e, str) and _DECIMAL.fullmatch(e):
         return int(e)
     if not isinstance(e, int) or isinstance(e, bool):
-        raise ValueError(f"matrix entry {e!r} is not an integer")
+        raise ValueError(f"entry {e!r} is not an integer")
     return e

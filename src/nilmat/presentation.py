@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .matgroup import (
     PositionBasis,
+    _entry_from_json,
     binary_power,
     commutator,
     elementary,
@@ -43,20 +44,26 @@ class NilpotentPresentation:
 
     positions/ambient_n optionally record a faithful realization by
     elementary integer matrices, used for cross-checking.
+
+    M, weights, relation keys and word entries must be integers (or
+    decimal strings); a float or a boolean raises ValueError instead of
+    being truncated.
     """
 
     def __init__(self, M, weights, relations, label=None, positions=None,
                  ambient_n=None):
+        M = _entry_from_json(M)
         if M < 1:
             raise ValueError("need at least one generator")
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(map(_entry_from_json, weights))
         if len(weights) != M or any(w < 1 for w in weights):
             raise ValueError("weights must be M positive integers")
         rel = {}
-        for (j, i), word in relations.items():
+        for key, word in relations.items():
+            j, i = map(_entry_from_json, key)
             if not (1 <= i < j <= M):
                 raise ValueError(f"bad relation key ({j}, {i})")
-            word = tuple(int(e) for e in word)
+            word = tuple(map(_entry_from_json, word))
             if len(word) != M:
                 raise ValueError(f"relation ({j}, {i}) word has wrong length")
             if not any(word):

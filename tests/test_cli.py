@@ -138,6 +138,31 @@ def test_distortion_rejects_non_integer_entries(capsys, tmp_path, entry):
     assert err.startswith("nilmat: error:")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("M", 3.0), ("weight", 2.7), ("weight", True), ("key", 2.0),
+    ("word", True), ("word", -1.0),
+])
+def test_embed_rejects_non_integer_presentation_fields(
+    capsys, tmp_path, field, value
+):
+    obj = presentation_to_json(builtin("heisenberg:1"))
+    (rel,) = obj["relations"]
+    if field == "M":
+        obj["M"] = value
+    elif field == "weight":
+        obj["weights"][2] = value
+    elif field == "key":
+        rel["j"] = value
+    else:
+        rel["word"][2] = value
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    for kind in ("jennings", "nickel"):
+        rc, out, err = run(capsys, "embed", kind, f"file:{path}")
+        assert rc == 1 and out == ""
+        assert err.startswith("nilmat: error:")
+
+
 def test_construct_json(capsys):
     rc, out, _ = run(capsys, "construct", "--p", "3", "--q", "2")
     assert rc == 0

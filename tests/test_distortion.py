@@ -1,10 +1,14 @@
 """Membership, depth, and exact distortion degrees."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from nilmat import distortion
 from nilmat.distortion import (
     GuardError,
     SubgroupGens,
@@ -26,7 +30,13 @@ from nilmat.distortion import (
     subgroup_to_json,
 )
 from nilmat.jennings import jennings_embedding
-from nilmat.matgroup import elementary, identity, level_weight, log_unipotent
+from nilmat.matgroup import (
+    RationalNilpotentMatrix,
+    elementary,
+    identity,
+    level_weight,
+    log_unipotent,
+)
 from nilmat.presentation import builtin
 
 
@@ -299,3 +309,103 @@ def test_json_roundtrips():
     assert obj["d_H"] == "3/2"
     assert all(entry.keys() == {"m", "t", "witness"}
                for entry in obj["strata"])
+
+
+def conjugated(p, q, seed):
+    """distorted_subgroup(p, q) conjugated by a seeded product of
+    elementaries; the degree is unchanged, the witnesses are not."""
+    rng = random.Random(seed)
+    sub = distorted_subgroup(p, q)
+    n = sub.n
+    c = identity(n)
+    for _ in range(n):
+        i = rng.randint(1, n - 1)
+        c = c * elementary(n, i, rng.randint(i + 1, n), rng.choice((-2, 1, 2)))
+    ci = c.inverse()
+    return SubgroupGens(n, [ci * g * c for g in sub.generators])
+
+
+def report_digest(subs):
+    blob = json.dumps([report_to_json(distortion_degree(s)) for s in subs])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_report_goldens():
+    # sha256 of the JSON reports, pinned while depth was still computed
+    # from group commutators
+    constructed = [
+        distorted_subgroup(p, q)
+        for p in range(2, 13) for q in range(2, p + 1)
+    ]
+    assert report_digest(constructed) == (
+        "efb0b62e6261c99accf58fb6f03d006c0076e7adda47259483a6276c0fe859ae"
+    )
+    disguised = [
+        conjugated(p, q, 100 * p + q)
+        for p, q in ((4, 3), (5, 2), (7, 3), (8, 5), (9, 4), (11, 6))
+    ]
+    assert report_digest(disguised) == (
+        "f00dfb405b861afe32ef662fb70d87a3a5c8931233757c52d6db3e0acd84d958"
+    )
+
+
+def test_degree_never_forms_group_commutators(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("group-side series reached from the engine")
+
+    for name in ("lower_central_gens", "_bracket_layers", "commutator"):
+        monkeypatch.setattr(distortion, name, refuse)
+    # a copy that no other test standardizes, so that no cache answers
+    sub = conjugated(7, 3, 73)
+    assert distortion_degree(sub).degree == Fraction(7, 3)
+
+
+def test_depth_by_powers_agrees_on_constructed_subgroups():
+    for p in range(2, 10):
+        for q in range(2, p + 1):
+            seq = standardize(distorted_subgroup(p, q))
+            for h in seq.slots:
+                assert depth_by_powers(h, seq) == subgroup_depth(h, seq), (p, q)
+
+
+def integral_multiple(x, c):
+    """c times x cleared of denominators, as a matrix of ints."""
+    d = lcm(*(Fraction(e).denominator for row in x.rows for e in row))
+    return RationalNilpotentMatrix(
+        [[int(c * d * e) for e in row] for row in x.rows]
+    )
+
+
+def test_lie_span_ignores_scaling():
+    rng = random.Random(721)
+    fractional = False
+    depths = set()
+    for _ in range(5):
+        gens = random_subgroup(rng, n=5).generators
+        logs = [log_unipotent(g) for g in gens]
+        fractional |= any(
+            Fraction(e).denominator > 1 for x in logs for row in x.rows
+            for e in row
+        )
+        exact = lie_span(logs)
+        scaled = lie_span(
+            [integral_multiple(x, rng.choice((1, -2, 3))) for x in logs]
+        )
+        assert scaled.dimension == exact.dimension
+        outside = [log_unipotent(g) for g in random_subgroup(rng, 5).generators]
+        probes = logs + [a.bracket(b) for a in logs for b in logs] + outside
+        for x in probes:
+            y = integral_multiple(x, 5)
+            assert all(type(e) is int for row in y.rows for e in row)
+            inside = exact.contains(x)
+            assert scaled.contains(x) == scaled.contains(y) == inside
+            if inside and not x.is_zero:
+                t = exact.depth(x)
+                assert scaled.depth(x) == scaled.depth(y) == t
+                depths.add(t)
+            else:
+                with pytest.raises(ValueError):
+                    exact.depth(x)
+        for g, x in zip(gens, logs):
+            assert exact.depth(g) == exact.depth(x)
+    assert fractional and depths >= {1, 2}

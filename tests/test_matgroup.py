@@ -147,6 +147,21 @@ def test_exp_rejects_fractional_result():
         exp_nilpotent(x)
 
 
+def test_rational_nilpotent_keeps_int_entries():
+    x = RationalNilpotentMatrix(((0, 2, 0), (0, 0, 3), (0, 0, 0)))
+    y = RationalNilpotentMatrix(((0, 1, 5), (0, 0, 1), (0, 0, 0)))
+    for z in (x + y, x - y, x * y, x.bracket(y), x.scale(4)):
+        assert all(type(e) is int for row in z.rows for e in row)
+    assert x.bracket(y).rows[0][2] == -1
+    assert x.scale(Fraction(1, 2)).rows[0][1] == 1
+    # exp divides by factorials exactly, never in floating point
+    assert exp_nilpotent(x) == UnitriangularMatrix(
+        ((1, 2, 3), (0, 1, 3), (0, 0, 1))
+    )
+    with pytest.raises(ValueError):
+        exp_nilpotent(y)
+
+
 def test_rational_nilpotent_bracket():
     rng = random.Random(505)
     for _ in range(10):
