@@ -362,7 +362,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"nilmat: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
         print(f"nilmat: error: {exc}", file=sys.stderr)
         return 1
 

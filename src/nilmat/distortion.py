@@ -29,8 +29,10 @@ from .matgroup import (
     PositionBasis,
     RationalNilpotentMatrix,
     UnitriangularMatrix,
+    _entry_from_json,
     _log_numerator,
     _wrap,
+    binary_power,
     commutator,
     elementary,
     identity,
@@ -121,6 +123,7 @@ def subgroup_from_json(obj):
         gens = obj["generators"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed subgroup object: {exc}") from exc
+    n = _entry_from_json(n, "subgroup size N")
     return SubgroupGens(n, [matrix_from_json(g) for g in gens])
 
 
@@ -172,55 +175,76 @@ class StandardizedSequence:
         )
 
 
-def _lead_index(m, basis):
-    """Index of the first basis position where m is nonzero, or None
-    for the identity."""
+def _lead_index(m, basis, start=0):
+    """Index of the first basis position from start on where m is
+    nonzero, or None when there is none (for start 0, the identity)."""
     rows = m.rows
-    for k, (i, j) in enumerate(basis.positions):
+    for k, (i, j) in enumerate(basis.positions[start:], start):
         if rows[i - 1][j - 1]:
             return k
     return None
 
 
+def _power(x, xi, e):
+    """x**e, given xi == x**-1, without inverting anything."""
+    return binary_power(x, e, identity(x.n), inverse=lambda _: xi)
+
+
 class _Sifter:
-    """Mutable workspace for building a standardized sequence."""
+    """Mutable workspace for building a standardized sequence.
+
+    Each slot's inverse is kept beside it in ``inverses`` (inverted once,
+    when the slot is set), so a reduction step is a power of the slot or
+    of its inverse times the element.  The inverses stay here and are
+    not copied to the StandardizedSequence.
+    """
 
     def __init__(self, n):
         self.n = n
         self.basis = PositionBasis(n)
         self.slots = {}
+        self.inverses = {}
         self.queue = []
 
     def sift(self, m):
         basis = self.basis
+        k = -1
         while True:
-            k = _lead_index(m, basis)
+            # a reduction step clears the lead and everything before it
+            k = _lead_index(m, basis, k + 1)
             if k is None:
                 return
             i, j = basis.positions[k]
             a = m.rows[i - 1][j - 1]
             g = self.slots.get(k)
             if g is None:
-                self.slots[k] = m if a > 0 else m.inverse()
+                mi = m.inverse()
+                self.slots[k], self.inverses[k] = (m, mi) if a > 0 else (mi, m)
                 return
+            gi = self.inverses[k]
             c = g.rows[i - 1][j - 1]
             if a % c:
                 d, u, v = _xgcd(c, a)
-                h = g**u * m**v
-                if h.rows[i - 1][j - 1] < 0:
-                    h = h.inverse()
-                self.slots[k] = h
+                # h = g**u * m**v has lead coefficient u*c + v*a = d > 0.
+                # Only m**-1 is unknown, so form whichever of h and h**-1
+                # takes a positive power of m, and invert that one.
+                if v > 0:
+                    h = _power(g, gi, u) * m**v
+                    hi = h.inverse()
+                else:
+                    hi = m ** (-v) * _power(g, gi, -u)
+                    h = hi.inverse()
+                self.slots[k], self.inverses[k] = h, hi
                 self.queue.append(g)
-                c = d
-            g = self.slots[k]
-            m = g ** (-(a // c)) * m
+                g, gi, c = h, hi, d
+            m = _power(g, gi, -(a // c)) * m
 
     def drain(self):
         while self.queue:
             self.sift(self.queue.pop())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def standardize(sub):
     """Standardized polycyclic sequence for the subgroup.
 
@@ -228,7 +252,9 @@ def standardize(sub):
     conjugation between slots until a fixpoint, so that every slot
     conjugate is again a product of later-or-equal slots.  Termination
     is certain (slots only gain positions or shrink lead coefficients)
-    but a generous round cap guards against implementation bugs.
+    but a generous round cap guards against implementation bugs.  The
+    conjugations read each slot's inverse from the sifter, which keeps
+    it beside the slot; the returned sequence holds only the slots.
     """
     sifter = _Sifter(sub.n)
     for g in sub.generators:
@@ -241,7 +267,7 @@ def standardize(sub):
             a = sifter.slots.get(ka)
             if a is None:
                 continue
-            ai = a.inverse()
+            ai = sifter.inverses[ka]
             for kb in sorted(snapshot):
                 if kb == ka:
                     continue
@@ -329,7 +355,7 @@ def intersect_level_subgroup(sub, l):
     return SubgroupGens(seq.n, gens)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _bracket_layers(seq):
     """Layers of left-normed commutator values in the generators.
 
@@ -382,8 +408,10 @@ def _integral(m):
     group element, the multiple of its logarithm."""
     if isinstance(m, UnitriangularMatrix):
         m = _log_numerator(m)[0]
-    d = lcm(*(e.denominator for row in m.rows for e in row))
-    rows = [[int(e * d) for e in row] for row in m.rows]
+    rows = m.rows
+    if not all(type(e) is int for row in rows for e in row):
+        d = lcm(*(e.denominator for row in rows for e in row))
+        rows = [[int(e * d) for e in row] for row in rows]
     g = gcd(*(e for row in rows for e in row)) or 1
     rows = tuple(tuple(e // g for e in row) for row in rows)
     return _wrap(m.n, rows, RationalNilpotentMatrix)
@@ -424,10 +452,9 @@ def _insert(rows, vec, tag):
 
 
 def _independent(mats):
-    """A maximal linearly independent subset of the integer matrices,
-    each made primitive."""
+    """A maximal linearly independent subset of the integer matrices."""
     rows = {}
-    return [_integral(m) for m in mats if _insert(rows, m.upper_vector(), 0)]
+    return [m for m in mats if _insert(rows, m.upper_vector(), 0)]
 
 
 class LieAlgebraSpan:
@@ -445,21 +472,30 @@ class LieAlgebraSpan:
     rational span, so no Fraction is formed.
 
     Methods take nilpotent matrices or group elements, which stand for
-    their logarithms.
+    their logarithms.  Each generator is made integral (for a group
+    element, its logarithm taken) once; generator_depths holds the depth
+    of each generator in the finished series, None for zero.
     """
 
     def __init__(self, n, generators):
         self.n = n
         self._rows = {}  # pivot -> (primitive integer row, layer)
-        base = _independent(map(_integral, generators))
+        gens = [_integral(g) for g in generators]
+        base = _independent(gens)
         layers = []
         layer = base
         while layer:
             layers.append(layer)
-            layer = _independent(b.bracket(g) for b in layer for g in base)
+            layer = [
+                _integral(m) for m in
+                _independent(b.bracket(g) for b in layer for g in base)
+            ]
         for k in range(len(layers), 0, -1):
             for mat in layers[k - 1]:
                 _insert(self._rows, mat.upper_vector(), k)
+        self.generator_depths = tuple(
+            _reduce(self._rows, g.upper_vector())[2] for g in gens
+        )
 
     def _expand(self, mat):
         return _reduce(self._rows, _integral(mat).upper_vector())
@@ -570,13 +606,16 @@ def distortion_degree(sub):
     recorded: its ambient depth m, and the smallest subgroup depth t
     among those slots.  The degree is the largest m/t; elements beyond
     the witness slot can only tie this ratio, never beat it, because
-    both depths are monotone along products within a stratum.
+    both depths are monotone along products within a stratum.  The
+    slots' subgroup depths are the generator depths of the slot series,
+    which takes each slot's logarithm once; every slot is a member, so
+    no membership check is made.
     """
     seq = _as_sequence(sub)
     if not seq.slots:
         raise ValueError("subgroup is trivial; distortion is undefined")
     levels = seq.levels
-    depths = [subgroup_depth(s, seq) for s in seq.slots]
+    depths = _slot_series(seq).generator_depths
     strata = []
     prev_size = 0
     for m in range(max(levels), 0, -1):

@@ -575,7 +575,8 @@ def matrix_from_json(obj):
         rows = obj["rows"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if not isinstance(n, int) or len(rows) != n:
+    n = _entry_from_json(n, "matrix size n")
+    if len(rows) != n:
         raise ValueError("matrix row count does not match n")
     parsed = []
     for row in rows:
@@ -588,11 +589,12 @@ def matrix_from_json(obj):
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
-def _entry_from_json(e):
+def _entry_from_json(e, what="entry"):
     """A JSON integer or a decimal string; floats, booleans, NaN and
-    infinities raise ValueError instead of being truncated."""
+    infinities raise ValueError, naming the value as what, instead of
+    being truncated."""
     if isinstance(e, str) and _DECIMAL.fullmatch(e):
         return int(e)
     if not isinstance(e, int) or isinstance(e, bool):
-        raise ValueError(f"entry {e!r} is not an integer")
+        raise ValueError(f"{what} {e!r} is not an integer")
     return e

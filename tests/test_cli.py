@@ -138,6 +138,33 @@ def test_distortion_rejects_non_integer_entries(capsys, tmp_path, entry):
     assert err.startswith("nilmat: error:")
 
 
+ROWS3 = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize("N,n,rows", [
+    (True, True, [["1"]]),
+    (1, True, [["1"]]),
+    (3.0, 3, ROWS3),
+    (3, 3.0, ROWS3),
+])
+def test_distortion_rejects_non_integer_sizes(capsys, tmp_path, N, n, rows):
+    payload = {"N": N, "generators": [{"n": n, "rows": rows}]}
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "distortion", f"file:{path}")
+    assert rc == 1 and out == ""
+    assert err.startswith("nilmat: error:") and "is not an integer" in err
+
+
+def test_distortion_rejects_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    rc, out, err = run(capsys, "distortion", f"file:{path}")
+    assert rc == 1 and out == ""
+    assert err.startswith("nilmat: error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field,value", [
     ("M", 3.0), ("weight", 2.7), ("weight", True), ("key", 2.0),
     ("word", True), ("word", -1.0),

@@ -32,6 +32,8 @@ from nilmat.distortion import (
 from nilmat.jennings import jennings_embedding
 from nilmat.matgroup import (
     RationalNilpotentMatrix,
+    UnitriangularMatrix,
+    _log_numerator,
     elementary,
     identity,
     level_weight,
@@ -325,6 +327,18 @@ def conjugated(p, q, seed):
     return SubgroupGens(n, [ci * g * c for g in sub.generators])
 
 
+def disguised(p, q, seed):
+    """conjugated(p, q, seed) after three seeded Nielsen moves
+    g_a <- g_a * g_b**(+-1), which keep the subgroup."""
+    rng = random.Random(seed)
+    sub = conjugated(p, q, seed)
+    gens = list(sub.generators)
+    for _ in range(3):
+        a, b = rng.sample(range(len(gens)), 2)
+        gens[a] = gens[a] * gens[b] ** rng.choice((1, -1))
+    return SubgroupGens(sub.n, gens)
+
+
 def report_digest(subs):
     blob = json.dumps([report_to_json(distortion_degree(s)) for s in subs])
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -409,3 +423,52 @@ def test_lie_span_ignores_scaling():
         for g, x in zip(gens, logs):
             assert exact.depth(g) == exact.depth(x)
     assert fractional and depths >= {1, 2}
+
+
+def test_standardize_inverts_once_per_slot_assignment(monkeypatch):
+    inverses = assignments = 0
+    invert = UnitriangularMatrix.inverse
+
+    def counting_inverse(self):
+        nonlocal inverses
+        inverses += 1
+        return invert(self)
+
+    class CountingSlots(dict):
+        def __setitem__(self, k, v):
+            nonlocal assignments
+            assignments += 1
+            super().__setitem__(k, v)
+
+    class Sifter(distortion._Sifter):
+        def __init__(self, n):
+            super().__init__(n)
+            self.slots = CountingSlots()
+
+    sub = disguised(9, 4, 94)
+    monkeypatch.setattr(UnitriangularMatrix, "inverse", counting_inverse)
+    monkeypatch.setattr(distortion, "_Sifter", Sifter)
+    seq = standardize.__wrapped__(sub)
+    assert assignments >= len(seq)
+    assert inverses <= assignments
+    monkeypatch.undo()
+    assert distortion_degree(seq).degree == Fraction(9, 4)
+
+
+def test_degree_takes_each_slot_logarithm_once(monkeypatch):
+    calls = 0
+
+    def counting_log(m):
+        nonlocal calls
+        calls += 1
+        return _log_numerator(m)
+
+    # a sequence that no other test builds, so that no cache answers
+    seq = standardize(disguised(8, 3, 83))
+    monkeypatch.setattr(distortion, "_log_numerator", counting_log)
+    report = distortion_degree(seq)
+    assert calls == len(seq)
+    assert report.degree == Fraction(8, 3)
+    assert [subgroup_depth(s, seq) for s in seq.slots] == list(
+        distortion._slot_series(seq).generator_depths
+    )
