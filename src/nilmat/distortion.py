@@ -15,7 +15,8 @@ the independent oracle depth_by_powers.
 
 Everything is exact.  Searches that could blow up (brute-force word
 enumeration, metric balls) take explicit bounds and raise GuardError
-rather than start an open-ended computation.
+rather than start an open-ended computation; so does standardize for a
+subgroup size N past MAX_POSITIONS.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import gcd, lcm
 
 from .matgroup import (
@@ -69,6 +71,11 @@ __all__ = [
 
 class GuardError(RuntimeError):
     """A search was asked to exceed its hard instance-size bound."""
+
+
+# standardize indexes all N(N-1)/2 strictly-upper positions of UT_N(Z);
+# the cap admits the Jennings image of ut:6 (N = 624, 194376 positions)
+MAX_POSITIONS = 1 << 18
 
 
 def _xgcd(a, b):
@@ -255,7 +262,15 @@ def standardize(sub):
     but a generous round cap guards against implementation bugs.  The
     conjugations read each slot's inverse from the sifter, which keeps
     it beside the slot; the returned sequence holds only the slots.
+    Raises GuardError, before building anything, when N(N-1)/2 exceeds
+    MAX_POSITIONS.
     """
+    positions = sub.n * (sub.n - 1) // 2
+    if positions > MAX_POSITIONS:
+        raise GuardError(
+            f"subgroup size N = {sub.n} has N(N-1)/2 = {positions} "
+            f"positions; the cap is {MAX_POSITIONS}"
+        )
     sifter = _Sifter(sub.n)
     for g in sub.generators:
         sifter.sift(g)
@@ -301,6 +316,19 @@ def _as_sequence(sub):
     if isinstance(sub, SubgroupGens):
         return standardize(sub)
     raise TypeError("expected SubgroupGens or StandardizedSequence")
+
+
+def _nontrivial_sequence(sub):
+    """_as_sequence for the distortion measures, which are undefined on
+    the trivial subgroup; generators that are all the identity are
+    refused before any basis is built."""
+    trivial = isinstance(sub, SubgroupGens) and all(
+        g.is_identity for g in sub.generators
+    )
+    seq = None if trivial else _as_sequence(sub)
+    if seq is None or not seq.slots:
+        raise ValueError("subgroup is trivial; distortion is undefined")
+    return seq
 
 
 def member_certificate(h, sub):
@@ -463,12 +491,13 @@ class LieAlgebraSpan:
 
     L_1 is spanned by the left-normed brackets of the generators and
     L_k by those of k or more of them.  W_1 is a basis of the
-    generators' span and W_{k+1} a basis of the brackets [b, g] with b
-    in W_k and g in W_1, so L_k = span(W_k, W_{k+1}, ...); the brackets
-    vanish past the matrix size.  The series is one echelon basis of
-    primitive integer vectors over the strictly-upper entries, inserted
-    deepest layer first, each row tagged with the layer it entered at:
-    the rows tagged >= k span L_k.  Scaling a vector does not change a
+    generators' span, W_2 a basis of the brackets of its pairs, and
+    W_{k+1} a basis of the brackets [b, g] with b in W_k and g in W_1,
+    so L_k = span(W_k, W_{k+1}, ...); the brackets vanish past the
+    matrix size.  The series is one echelon basis of primitive integer
+    vectors over the strictly-upper entries, inserted deepest layer
+    first, each row tagged with the layer it entered at: the rows
+    tagged >= k span L_k.  Scaling a vector does not change a
     rational span, so no Fraction is formed.
 
     Methods take nilpotent matrices or group elements, which stand for
@@ -486,9 +515,15 @@ class LieAlgebraSpan:
         layer = base
         while layer:
             layers.append(layer)
+            # [b, b] = 0 and [g, b] = -[b, g]: layer 1 brackets only
+            # the pairs b before g
+            pairs = (
+                combinations(base, 2) if len(layers) == 1
+                else product(layer, base)
+            )
             layer = [
                 _integral(m) for m in
-                _independent(b.bracket(g) for b in layer for g in base)
+                _independent(b.bracket(g) for b, g in pairs)
             ]
         for k in range(len(layers), 0, -1):
             for mat in layers[k - 1]:
@@ -611,9 +646,7 @@ def distortion_degree(sub):
     which takes each slot's logarithm once; every slot is a member, so
     no membership check is made.
     """
-    seq = _as_sequence(sub)
-    if not seq.slots:
-        raise ValueError("subgroup is trivial; distortion is undefined")
+    seq = _nontrivial_sequence(sub)
     levels = seq.levels
     depths = _slot_series(seq).generator_depths
     strata = []
@@ -678,9 +711,7 @@ def brute_force_degree(sub, len_bound=3):
     """
     if len_bound > 6:
         raise GuardError("brute-force word length bound is capped at 6")
-    seq = _as_sequence(sub)
-    if not seq.slots:
-        raise ValueError("subgroup is trivial; distortion is undefined")
+    seq = _nontrivial_sequence(sub)
     return max((
         Fraction(level_weight(h), subgroup_depth(h, seq))
         for h, d in ball(seq.n, len_bound, seq.slots).items() if d
@@ -770,9 +801,7 @@ def empirical_distortion(sub, radius, h_cap=None):
     subgroup-steps are reported at the cap and flagged, so the result
     is still a certified lower bound.
     """
-    seq = _as_sequence(sub)
-    if not seq.slots:
-        raise ValueError("subgroup is trivial; distortion is undefined")
+    seq = _nontrivial_sequence(sub)
     if h_cap is None:
         h_cap = radius * radius
     ambient = ball(seq.n, radius)

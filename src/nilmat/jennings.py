@@ -12,13 +12,15 @@ class.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .matgroup import (
     RationalSquareMatrix,
     UnitriangularMatrix,
+    _wrap,
+    identity,
     level_weight,
     matrix_to_json,
 )
@@ -112,8 +114,17 @@ class JenningsBasis:
 
         self.monomials = tuple(ordered)
         self.mu = tuple(mu_of[m] for m in ordered)
-        self.index = {m: k for k, m in enumerate(ordered)}
-        self._expand_cache = {}
+        # a monomial's code is its exponent tuple read in mixed radix,
+        # digit k running over 0 .. cutoff // w_k; codes key the columns
+        radix, step = [], 1
+        for w in presentation.weights:
+            radix.append(step)
+            step *= cutoff // w + 1
+        self._radix = tuple(radix)
+        self._codes = tuple(
+            sum(e * R for e, R in zip(m, radix)) for m in ordered
+        )
+        self._column = {c: k for k, c in enumerate(self._codes)}
 
     def __len__(self):
         return len(self.monomials)
@@ -121,72 +132,87 @@ class JenningsBasis:
     def expand_group(self, coords):
         """Expansion of the group element with the given exponent tuple
         over the monomial basis, as a dict monomial -> int coefficient.
+        """
+        monomials = self.monomials
+        return {monomials[k]: c for k, c in self._expand(coords).items()}
+
+    def _expand(self, coords):
+        """expand_group keyed by basis column.
 
         The normal word x_1^a_1 ... x_M^a_M is already in generator
         order, so the product of the power series (1 - u_k)^a_k needs
-        no reordering; terms above the cutoff weight are dropped.
+        no reordering and every term is a distinct monomial; terms above
+        the cutoff weight are dropped.
         """
-        key = tuple(coords)
-        cached = self._expand_cache.get(key)
-        if cached is not None:
-            return cached
-        weights = self.presentation.weights
-        cutoff = self.cutoff
-        poly = {(0,) * self.presentation.M: (1, 0)}  # mono -> (coeff, mu)
-        for k, a in enumerate(coords):
-            if not a:
-                continue
-            w = weights[k]
-            nxt = {}
-            for mono, (c, mu) in poly.items():
-                for e in range((cutoff - mu) // w + 1):
-                    t = _series_coeff(a, e)
-                    if not t:
-                        continue
-                    m2 = mono[:k] + (mono[k] + e,) + mono[k + 1:]
-                    old = nxt.get(m2)
-                    nxt[m2] = (
-                        (c * t, mu + e * w) if old is None
-                        else (old[0] + c * t, old[1])
-                    )
-            poly = {m: v for m, v in nxt.items() if v[0]}
-        out = {m: c for m, (c, _) in poly.items()}
-        self._expand_cache[key] = out
-        return out
+        terms = [(0, 1, self.cutoff)]  # (code, coefficient, weight room)
+        for a, w, R in zip(coords, self.presentation.weights, self._radix):
+            if a:
+                series = _series(a, self.cutoff // w)
+                terms = [
+                    (code + e * R, c * s, room - e * w)
+                    for code, c, room in terms
+                    for e, s in enumerate(series[:room // w + 1])
+                ]
+        column = self._column
+        return {column[code]: c for code, c, _ in terms}
 
     def element_matrix(self, coords):
-        """Matrix of right multiplication by the element with the given
-        exponent tuple, rows and columns indexed by the basis order.
+        """Matrix of right multiplication by the element g with the
+        given exponent tuple, rows and columns indexed by the basis
+        order.
 
-        Row for the monomial u^r: rewrite u^r exactly as a signed sum
-        of group elements, multiply each by the acting element in the
-        group, and expand back.  Returns an UnitriangularMatrix when
-        the basis order supports it, otherwise a RationalSquareMatrix
-        carrying the same integer entries.
+        The monomial u^r = (1 - x_1)^r_1 ... (1 - x_M)^r_M is the signed
+        sum over j <= r of (-1)^|j| C(r, j) x^j, where x^j is the group
+        element with exponent tuple j, so the row of u^r is the same sum
+        of the rows F(j) = expansion of x^j g.  Every j <= r is itself a
+        basis monomial (the basis is a lower set), so F costs one
+        collector product per basis monomial.  The binomial sum factors
+        over the axes and is triangular along each, so it is applied one
+        axis at a time.  Returns an UnitriangularMatrix, built with its
+        nonzero index, when the basis order supports it, otherwise a
+        RationalSquareMatrix carrying the same integer entries.
         """
         p = self.presentation
-        d = len(self.monomials)
-        rows = []
-        for r in self.monomials:
-            poly = {}
-            for j in itertools.product(*(range(e + 1) for e in r)):
-                c = math.prod(
-                    math.comb(re, je) for re, je in zip(r, j)
-                )
-                if sum(j) & 1:
-                    c = -c
-                word = p.multiply(j, coords)
-                for mono, t in self.expand_group(word).items():
-                    poly[mono] = poly.get(mono, 0) + c * t
-            row = [0] * d
-            for mono, c in poly.items():
-                if c:
-                    row[self.index[mono]] = c
-            rows.append(tuple(row))
-        try:
-            return UnitriangularMatrix(tuple(rows))
-        except ValueError:
-            return RationalSquareMatrix(tuple(rows))
+        coords = tuple(coords)
+        monomials = self.monomials
+        codes = self._codes
+        column = self._column
+        # sparse rows, column -> nonzero int
+        rows = [self._expand(p.multiply(r, coords)) for r in monomials]
+        for k, R in enumerate(self._radix):
+            done = []
+            for r, code, row in zip(monomials, codes, rows):
+                t = r[k]
+                if t:
+                    # sum over e <= t of (-1)^e C(t, e) row(r with r_k = e)
+                    base = code - t * R
+                    row = dict(rows[column[base]])
+                    for e, c in enumerate(_series(t, t)[1:], 1):
+                        for col, v in rows[column[base + e * R]].items():
+                            row[col] = row.get(col, 0) + c * v
+                    row = {col: v for col, v in row.items() if v}
+                done.append(row)
+            rows = done
+        d = len(monomials)
+        unit = identity(d).rows
+        dense = []
+        nz = []
+        unitriangular = True
+        for i, row in enumerate(rows):
+            cols = sorted(row)
+            if cols == [i] and row[i] == 1:
+                dense.append(unit[i])
+                nz.append(())
+                continue
+            out = [0] * d
+            for col in cols:
+                out[col] = row[col]
+            dense.append(tuple(out))
+            nz.append(tuple(cols[1:]))
+            unitriangular = unitriangular and cols[0] == i and row[i] == 1
+        if unitriangular:
+            return _wrap(d, tuple(dense), nz=tuple(nz))
+        return RationalSquareMatrix(tuple(dense))
 
     def action_matrix(self, k):
         """element_matrix of the k-th generator (1-based)."""
@@ -264,10 +290,13 @@ def embedding_to_json(result):
     }
 
 
-def _series_coeff(a, e):
-    """Coefficient of u^e in the expansion of (1 - u)^a, any integer a."""
-    if e == 0:
-        return 1
+@lru_cache(maxsize=1024)
+def _series(a, top):
+    """Coefficients of u^0 .. u^top in (1 - u)^a, any integer a; for
+    a >= 0 the tuple stops at u^a, past which they vanish."""
     if a >= 0:
-        return -math.comb(a, e) if e & 1 else math.comb(a, e)
-    return math.comb(-a + e - 1, e)
+        return tuple(
+            -math.comb(a, e) if e & 1 else math.comb(a, e)
+            for e in range(min(a, top) + 1)
+        )
+    return tuple(math.comb(-a + e - 1, e) for e in range(top + 1))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from itertools import compress
 
 __all__ = [
     "UnitriangularMatrix",
@@ -38,9 +39,17 @@ class UnitriangularMatrix:
 
     Immutable and hashable.  Supports ``*``, ``**`` (any integer
     exponent), ``inverse()`` and 1-based ``entry(i, j)`` access.
+
+    Beside the dense rows a matrix can hold, per row, the columns of
+    its nonzero strictly-upper entries (``nonzeros()``).  A product
+    walks only the left factor's nonzero entries, building that index on
+    first use, and the right factor's once its index is built; where a
+    row of the left factor is a unit row, the product reuses the right
+    factor's row.  An inverse walks only nonzero entries and comes with
+    its index, as do the matrices built by JenningsBasis.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_nz")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -58,6 +67,7 @@ class UnitriangularMatrix:
                     raise ValueError("matrix entries must be integers")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_nz", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitriangularMatrix is immutable")
@@ -65,6 +75,17 @@ class UnitriangularMatrix:
     def entry(self, i, j):
         """Entry at 1-based position (i, j)."""
         return self.rows[i - 1][j - 1]
+
+    def nonzeros(self):
+        """Per row, the 0-based columns of its nonzero strictly-upper
+        entries, in increasing order; built once and then cached."""
+        nz = self._nz
+        if nz is None:
+            cols = range(self.n)
+            # the diagonal 1 is each row's first nonzero entry
+            nz = tuple(tuple(compress(cols, row))[1:] for row in self.rows)
+            object.__setattr__(self, "_nz", nz)
+        return nz
 
     def __eq__(self, other):
         return (
@@ -82,36 +103,52 @@ class UnitriangularMatrix:
             raise ValueError("size mismatch")
         a = self.rows
         b = other.rows
+        # the right factor's index is used when it is already built
+        bnz = other._nz or [range(k + 1, n) for k in range(n)]
         out = []
-        for i in range(n):
+        for i, ks in enumerate(self.nonzeros()):
+            if not ks:
+                out.append(b[i])
+                continue
             ai = a[i]
             row = list(b[i])
-            for k in range(i + 1, n):
+            for k in ks:
                 c = ai[k]
-                if c:
-                    bk = b[k]
-                    for j in range(k, n):
-                        row[j] += c * bk[j]
+                bk = b[k]
+                row[k] += c
+                for j in bnz[k]:
+                    row[j] += c * bk[j]
             out.append(tuple(row))
         return _wrap(n, tuple(out))
 
     def inverse(self):
-        """Group inverse, by back substitution (exact, one O(n^3) pass)."""
+        """Group inverse, row by row from the bottom: the rows x_i of
+        the inverse satisfy x_i = e_i - sum a_ik x_k over the nonzero
+        a_ik, k > i.  The inverse's nonzero index comes for free."""
         n = self.n
         a = self.rows
-        # x[i][j] = -sum_{i<k<=j} a[i][k] x[k][j], filled bottom-up
-        x = [[0] * n for _ in range(n)]
+        anz = self.nonzeros()
+        unit = identity(n).rows
+        cols = range(n)
+        x = [None] * n
+        xnz = [()] * n
         for i in range(n - 1, -1, -1):
-            x[i][i] = 1
+            ks = anz[i]
+            if not ks:
+                x[i] = unit[i]
+                continue
             ai = a[i]
-            for j in range(i + 1, n):
-                s = 0
-                for k in range(i + 1, j + 1):
-                    c = ai[k]
-                    if c:
-                        s += c * x[k][j]
-                x[i][j] = -s
-        return _wrap(n, tuple(tuple(r) for r in x))
+            row = [0] * n
+            row[i] = 1
+            for k in ks:
+                c = ai[k]
+                xk = x[k]
+                row[k] -= c
+                for j in xnz[k]:
+                    row[j] -= c * xk[j]
+            x[i] = tuple(row)
+            xnz[i] = tuple(compress(cols, row))[1:]
+        return _wrap(n, tuple(x), nz=tuple(xnz))
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -120,7 +157,8 @@ class UnitriangularMatrix:
 
     @property
     def is_identity(self):
-        return self == identity(self.n)
+        n = self.n
+        return all(row.count(0) == n - 1 for row in self.rows)
 
     def __repr__(self):
         return f"UnitriangularMatrix({list(map(list, self.rows))!r})"
@@ -143,11 +181,14 @@ def binary_power(x, e, one, mul=operator.mul, inverse=None):
     return one if result is None else result
 
 
-def _wrap(n, rows, cls=UnitriangularMatrix):
-    """Build a matrix from known-good rows, skipping validation."""
+def _wrap(n, rows, cls=UnitriangularMatrix, nz=None):
+    """Build a matrix from known-good rows, skipping validation; nz is a
+    unitriangular matrix's nonzero index when already known."""
     m = object.__new__(cls)
     object.__setattr__(m, "n", n)
     object.__setattr__(m, "rows", rows)
+    if cls is UnitriangularMatrix:
+        object.__setattr__(m, "_nz", nz)
     return m
 
 
@@ -158,10 +199,9 @@ def identity(n):
     """The n x n identity."""
     m = _IDENTITY_CACHE.get(n)
     if m is None:
-        rows = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
-        m = _IDENTITY_CACHE[n] = _wrap(n, rows)
+        zero = (0,) * n
+        rows = tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
+        m = _IDENTITY_CACHE[n] = _wrap(n, rows, nz=((),) * n)
     return m
 
 

@@ -231,12 +231,14 @@ class NilpotentPresentation:
 
 def evaluate_coords(coords, images, one):
     """Image of the normal word under a homomorphism sending x_k to
-    images[k-1]; works for anything with * and integer **."""
-    out = one
+    images[k-1]; works for anything with * and integer **.  No product
+    with one is formed."""
+    out = None
     for img, e in zip(images, coords):
         if e:
-            out = out * img ** e
-    return out
+            power = img ** e
+            out = power if out is None else out * power
+    return one if out is None else out
 
 
 def relation_failures(p, matrix_of):

@@ -321,3 +321,19 @@ def test_usage_errors(capsys):
     rc, out, err = run(capsys, "--help")
     assert rc == 0
     assert "usage" in out
+
+
+def test_subgroup_size_cap_exit_3(capsys, monkeypatch):
+    n = 725  # N(N-1)/2 = 262450, just above the cap of 2^18
+    sub = SubgroupGens(n, [elementary(n, 1, 2)])
+    blob = json.dumps(subgroup_to_json(sub))
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    rc, out, err = run(capsys, "distortion", "-")
+    assert rc == 3 and out == ""
+    assert "N(N-1)/2 = 262450 positions; the cap is 262144" in err
+
+    blob = '{"N": 600, "generators": []}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    rc, out, err = run(capsys, "distortion", "-")
+    assert rc == 1 and out == ""
+    assert "subgroup is trivial" in err

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -472,3 +473,65 @@ def test_degree_takes_each_slot_logarithm_once(monkeypatch):
     assert [subgroup_depth(s, seq) for s in seq.slots] == list(
         distortion._slot_series(seq).generator_depths
     )
+
+
+def test_lie_span_brackets_each_base_pair_once(monkeypatch):
+    # [b, b] = 0 and [g, b] = -[b, g], so layer 1 needs only the pairs
+    # b before g: for e12, e23, e34 in UT_4 that is 3 brackets giving
+    # W_2 = {e13, e24}, then 2 * 3 giving W_3 = {e14}, then 1 * 3 zeros
+    orig = RationalNilpotentMatrix.bracket
+    calls = [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return orig(self, other)
+
+    monkeypatch.setattr(RationalNilpotentMatrix, "bracket", counted)
+    span = lie_span([elementary(4, i, i + 1) for i in (1, 2, 3)])
+    assert calls[0] == 3 + 6 + 3
+    assert span.generator_depths == (1, 1, 1)
+    assert span.dimension == 6
+    assert span.depth(elementary(4, 1, 4)) == 3
+
+
+def test_trivial_subgroup_is_refused_before_any_basis(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("a position basis was built")
+
+    monkeypatch.setattr(distortion, "PositionBasis", no_basis)
+    for sub in (
+        subgroup_from_json({"N": 600, "generators": []}),
+        SubgroupGens(5, [identity(5)]),
+    ):
+        for measure in (
+            distortion_degree,
+            brute_force_degree,
+            lambda s: empirical_distortion(s, 2),
+        ):
+            with pytest.raises(ValueError, match="trivial"):
+                measure(sub)
+
+
+def test_subgroup_size_cap(monkeypatch):
+    cap = distortion.MAX_POSITIONS
+    n = 2
+    while n * (n - 1) // 2 <= cap:
+        n += 1
+    # n is the smallest refused size; the Jennings image of ut:6 passes
+    assert 624 < n
+    sub = SubgroupGens(n, [elementary(n, 1, 2)])
+
+    def no_basis(*args):
+        raise AssertionError("a position basis was built")
+
+    monkeypatch.setattr(distortion, "PositionBasis", no_basis)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError) as info:
+            distortion_degree(sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"N(N-1)/2 = {n * (n - 1) // 2}" in str(info.value)
+    assert f"the cap is {cap}" in str(info.value)
+    assert peak < 64 * 1024

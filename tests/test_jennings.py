@@ -199,3 +199,82 @@ def test_expand_group_series_convention():
     one_x = basis.expand_group((1, 0, 0))
     assert one_x[(0, 0, 0)] == 1
     assert one_x[(1, 0, 0)] == -1
+
+
+STOCK_GROUPS = (
+    "ut:2", "ut:3", "ut:3:scheme", "ut:4", "ut:4:scheme", "ut:5",
+    "heisenberg:1", "heisenberg:2", "heisenberg:3", "freenil23",
+)
+
+
+def _bases(name):
+    p = builtin(name)
+    yield JenningsBasis(p)
+    if p.positions is not None:
+        yield JenningsBasis(p, order="scheme-perturbed")
+    d = len(JenningsBasis(p))
+    perm = list(range(d))
+    random.Random(d).shuffle(perm)
+    yield JenningsBasis(p, order=perm)
+    if max(p.weights) > 1:
+        yield JenningsBasis(p, truncation=max(p.weights))
+
+
+@pytest.mark.parametrize("name", STOCK_GROUPS)
+def test_element_matrix_is_product_of_generator_powers(name):
+    # the engine builds a word's matrix from one collector product per
+    # basis monomial; the homomorphism property says it must equal the
+    # product of the generator images' powers
+    rng = random.Random(name)
+    for basis in _bases(name):
+        M = basis.presentation.M
+        gens = [basis.action_matrix(k) for k in range(1, M + 1)]
+        dense = not all(isinstance(g, UnitriangularMatrix) for g in gens)
+        if dense:
+            if len(basis) > 30:
+                continue  # dense Fraction products: seconds at d = 132
+            gens = [RationalSquareMatrix(g.rows) for g in gens]
+        one = gens[0] ** 0
+        words = [tuple(rng.randint(-2, 2) for _ in range(M))]
+        if len(basis) <= 30:
+            words.append(tuple(rng.randint(-3, 3) for _ in range(M)))
+        for w in words:
+            got = basis.element_matrix(w)
+            if dense:
+                got = RationalSquareMatrix(got.rows)
+            assert got == evaluate_coords(w, gens, one), (basis.order, w)
+            if isinstance(got, UnitriangularMatrix):
+                assert got.nonzeros() == tuple(
+                    tuple(j for j in range(i + 1, got.n) if row[j])
+                    for i, row in enumerate(got.rows)
+                )
+
+
+@pytest.mark.parametrize("name", ["ut:3", "ut:4", "freenil23"])
+def test_element_matrix_calls_collector_once_per_monomial(
+    name, monkeypatch
+):
+    p = builtin(name)
+    basis = JenningsBasis(p)
+    orig = type(p).multiply
+    depth = [0]
+    calls = [0]
+
+    def counted(self, a, b):
+        # the collector recurses into multiply; count outer calls only
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return orig(self, a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(type(p), "multiply", counted)
+    basis.element_matrix((1,) + (-2,) * (p.M - 1))
+    assert calls[0] <= len(basis)
+
+
+def test_ut6_embedding():
+    res = jennings_embedding(builtin("ut:6"))
+    assert res.d == 624
+    assert res.unitriangular and res.relators_ok

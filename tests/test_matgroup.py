@@ -194,3 +194,70 @@ def test_immutability():
     g = elementary(3, 1, 2)
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+def _dense_mul(a, b):
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _dense_inverse(a):
+    # back substitution on the unit upper triangle: x = a^-1 satisfies
+    # x[i][j] = -sum_{i<k<=j} a[i][k] x[k][j]
+    n = len(a)
+    x = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            x[i][j] = -sum(a[i][k] * x[k][j] for k in range(i + 1, j + 1))
+    return x
+
+
+def _random_unitriangular(rng, n, density):
+    return UnitriangularMatrix([
+        [
+            1 if i == j
+            else rng.randint(-3, 3) if j > i and rng.random() < density
+            else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ])
+
+
+def _assert_index_matches(m):
+    assert m.nonzeros() == tuple(
+        tuple(j for j in range(i + 1, m.n) if row[j])
+        for i, row in enumerate(m.rows)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_sparse_kernel_matches_dense_reference(n):
+    rng = random.Random(4000 + n)
+    for density in (0.0, 0.05, 0.3, 1.0):
+        a = _random_unitriangular(rng, n, density)
+        b = _random_unitriangular(rng, n, density)
+        a_rows = [list(r) for r in a.rows]
+        b_rows = [list(r) for r in b.rows]
+        # b's index is built on the first product and used on the second
+        for _ in range(2):
+            ab = a * b
+            assert [list(r) for r in ab.rows] == _dense_mul(a_rows, b_rows)
+        inv = a.inverse()
+        assert [list(r) for r in inv.rows] == _dense_inverse(a_rows)
+        _assert_index_matches(inv)  # built by the inverse itself
+        assert inv * a == identity(n) == a * inv
+        e = rng.randint(-4, 4)
+        want = [[int(i == j) for j in range(n)] for i in range(n)]
+        step = a_rows if e >= 0 else _dense_inverse(a_rows)
+        for _ in range(abs(e)):
+            want = _dense_mul(want, step)
+        assert [list(r) for r in (a ** e).rows] == want
+        for m in (a, b, ab, a ** e, identity(n)):
+            _assert_index_matches(m)
+    # a unit row of the left factor reuses the right factor's row
+    m = identity(n) * b
+    assert all(r is s for r, s in zip(m.rows, b.rows))
