@@ -23,9 +23,13 @@ from .distortion import (
     report_to_json,
     subgroup_from_json,
     subgroup_to_json,
-    SubgroupGens,
 )
-from .jennings import embedding_to_json, image_weights, jennings_embedding
+from .jennings import (
+    embedding_to_json,
+    image_degree,
+    image_weights,
+    jennings_embedding,
+)
 from .nickel import function_module, nickel_embedding, ordering_search
 from .presentation import builtin, presentation_from_json
 from .verify import run_all
@@ -160,25 +164,21 @@ def cmd_construct(args):
 
 
 def _jennings_survey(group):
+    """Records like ordering_search's for the two named basis orders
+    that apply to the group."""
     records = []
     for order in ("weight-lex", "scheme-perturbed"):
         try:
             emb = jennings_embedding(group, order=order)
         except ValueError:
             continue
-        record = {
+        hit = emb.unitriangular
+        records.append({
             "ordering": order,
-            "unitriangular": emb.unitriangular,
-            "weights": None,
-            "degree": None,
-        }
-        if emb.unitriangular:
-            record["weights"] = list(image_weights(emb))
-            degree = distortion_degree(
-                SubgroupGens(emb.d, emb.generators)
-            ).degree
-            record["degree"] = str(degree)
-        records.append(record)
+            "unitriangular": hit,
+            "weights": image_weights(emb) if hit else None,
+            "degree": image_degree(emb) if hit else None,
+        })
     return records
 
 
@@ -189,17 +189,15 @@ def cmd_orderings(args):
         mode = "named"
     else:
         mode = "exhaustive" if args.exhaustive else "report-first"
-        module = function_module(group)
-        records = [
-            {
-                "ordering": list(r["ordering"]),
-                "unitriangular": r["unitriangular"],
-                "weights": list(r["weights"]) if r["weights"] else None,
-                "degree": str(r["degree"]) if r["degree"] is not None
-                else None,
-            }
-            for r in ordering_search(module, mode=mode)
-        ]
+        records = ordering_search(function_module(group), mode=mode)
+    records = [
+        dict(
+            r,
+            weights=list(r["weights"]) if r["weights"] else None,
+            degree=None if r["degree"] is None else str(r["degree"]),
+        )
+        for r in records
+    ]
     payload = {
         "group": group.label,
         "mode": mode,

@@ -679,13 +679,21 @@ def distorted_subgroup(p, q):
     words it must be compared with.  For q == 2 this reduces to a
     single jump; for p == q == 2 the padding and the jump collide in
     the only available slot and the subgroup degenerates to finite
-    index, with degree 1.
+    index, with degree 1.  Raises GuardError, before building any
+    matrix, for the subgroups standardize would refuse: those with
+    (p+1)p/2 past MAX_POSITIONS.
     """
     if not (isinstance(p, int) and isinstance(q, int)):
         raise ValueError("p and q must be integers")
     if not p >= q >= 2:
         raise ValueError("need p >= q >= 2")
     n = p + 1
+    positions = n * p // 2
+    if positions > MAX_POSITIONS:
+        raise GuardError(
+            f"subgroup size N = {n} has N(N-1)/2 = {positions} "
+            f"positions; the cap is {MAX_POSITIONS}"
+        )
     if q == 2:
         bridge = elementary(n, n - 1, n) * elementary(n, 2, n)
         gens = [elementary(n, 1, 2), bridge, elementary(n, 1, n)]

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .distortion import SubgroupGens, distortion_degree
 from .matgroup import (
     RationalSquareMatrix,
     UnitriangularMatrix,
@@ -24,13 +25,14 @@ from .matgroup import (
     level_weight,
     matrix_to_json,
 )
-from .presentation import evaluate_coords, relation_failures
+from .presentation import relation_failures
 
 __all__ = [
     "JenningsBasis",
     "EmbeddingResult",
     "jennings_embedding",
     "image_weights",
+    "image_degree",
     "embedding_to_json",
 ]
 
@@ -239,30 +241,29 @@ def jennings_embedding(presentation, order="weight-lex", truncation=None):
     """Embed the presented group by its action on the truncated group
     ring; returns generator matrices over the chosen monomial order."""
     basis = JenningsBasis(presentation, order=order, truncation=truncation)
-    gens = tuple(
-        basis.action_matrix(k) for k in range(1, presentation.M + 1)
-    )
-    unitriangular = all(
-        isinstance(g, UnitriangularMatrix) for g in gens
-    )
-    if not unitriangular:
-        gens = tuple(
-            g if isinstance(g, RationalSquareMatrix)
-            else RationalSquareMatrix(g.rows)
-            for g in gens
-        )
+    gens = [basis.action_matrix(k) for k in range(1, presentation.M + 1)]
+    return _embedding_result(presentation, gens, basis.monomials, basis)
 
-    one = gens[0] ** 0
-    failures = relation_failures(
-        presentation, lambda vec: evaluate_coords(vec, gens, one)
-    )
+
+def _embedding_result(presentation, gens, ordering, basis):
+    """The EmbeddingResult of both constructions.  It is unitriangular
+    when every generator image is a UnitriangularMatrix; otherwise every
+    image is carried as a RationalSquareMatrix.  relators_ok comes from
+    relation_failures on the images."""
+    unitriangular = all(isinstance(g, UnitriangularMatrix) for g in gens)
+    if not unitriangular:
+        gens = [
+            RationalSquareMatrix(g.rows)
+            if isinstance(g, UnitriangularMatrix) else g
+            for g in gens
+        ]
     return EmbeddingResult(
-        d=len(basis),
-        ordering=basis.monomials,
-        generators=gens,
+        d=gens[0].n,
+        ordering=ordering,
+        generators=tuple(gens),
         unitriangular=unitriangular,
         basis=basis,
-        relators_ok=not failures,
+        relators_ok=not relation_failures(presentation, gens),
     )
 
 
@@ -270,6 +271,12 @@ def image_weights(result):
     """Level of each generator image inside the ambient unitriangular
     group (distance of the first nonzero entry from the diagonal)."""
     return tuple(level_weight(g) for g in result.generators)
+
+
+def image_degree(result):
+    """Exact distortion degree of the image subgroup inside UT_d(Z),
+    for a result with unitriangular images."""
+    return distortion_degree(SubgroupGens(result.d, result.generators)).degree
 
 
 def embedding_to_json(result):

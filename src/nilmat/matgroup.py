@@ -261,7 +261,7 @@ class PositionBasis:
 
     FLAVORS = ("lcs-standard", "scheme")
 
-    __slots__ = ("n", "flavor", "positions", "weights", "index")
+    __slots__ = ("n", "flavor", "positions", "weights")
 
     def __init__(self, n, flavor="lcs-standard"):
         if flavor not in self.FLAVORS:
@@ -276,9 +276,6 @@ class PositionBasis:
         object.__setattr__(self, "positions", tuple(all_pos))
         object.__setattr__(
             self, "weights", tuple(j - i for i, j in all_pos)
-        )
-        object.__setattr__(
-            self, "index", {p: k for k, p in enumerate(all_pos)}
         )
 
     def __setattr__(self, name, value):
@@ -337,22 +334,25 @@ def from_coordinates(coords, basis):
     return out
 
 
+def _exact(e):
+    """An int stays an int; anything else becomes a Fraction."""
+    return e if type(e) is int else Fraction(e)
+
+
 class RationalNilpotentMatrix:
     """Strictly upper triangular matrix over the rationals.
 
     The Lie-algebra side of the package: closed under +, -, scalar
     multiplication, matrix product and bracket().  Entries are ints or
-    Fractions; int entries stay ints through every operation, so an
-    integer-scaled matrix brackets without forming a Fraction.
+    Fractions (see _exact); int entries stay ints through every
+    operation, so an integer-scaled matrix brackets without forming a
+    Fraction.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(
-            tuple(e if type(e) is int else Fraction(e) for e in row)
-            for row in rows
-        )
+        rows = tuple(tuple(map(_exact, row)) for row in rows)
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -388,8 +388,7 @@ class RationalNilpotentMatrix:
         ), RationalNilpotentMatrix)
 
     def scale(self, c):
-        if type(c) is not int:
-            c = Fraction(c)
+        c = _exact(c)
         return _wrap(self.n, tuple(
             tuple(c * a for a in row) for row in self.rows
         ), RationalNilpotentMatrix)
@@ -516,13 +515,15 @@ class RationalSquareMatrix:
 
     Representation images that fail the unitriangular shape still need
     multiplication, inversion, and powers for relator checks; this is
-    the minimal carrier for that.
+    the minimal carrier for that.  Entries follow _exact, so integer
+    images multiply in ints, and inversion forms a Fraction only to
+    divide by a pivot other than 1 or -1.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        rows = tuple(tuple(map(_exact, row)) for row in rows)
         object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "rows", rows)
 
@@ -555,7 +556,7 @@ class RationalSquareMatrix:
         out = []
         for i in range(n):
             ai = self.rows[i]
-            row = [Fraction(0)] * n
+            row = [0] * n
             for k in range(n):
                 c = ai[k]
                 if c:
@@ -569,7 +570,7 @@ class RationalSquareMatrix:
     def inverse(self):
         n = self.n
         a = [
-            list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
+            list(row) + [1 if i == j else 0 for j in range(n)]
             for i, row in enumerate(self.rows)
         ]
         for col in range(n):
@@ -579,8 +580,12 @@ class RationalSquareMatrix:
             if piv is None:
                 raise ValueError("matrix is singular")
             a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [e * inv for e in a[col]]
+            pivot = a[col][col]
+            if pivot == -1:
+                a[col] = [-e for e in a[col]]
+            elif pivot != 1:
+                inv = 1 / Fraction(pivot)
+                a[col] = [e * inv for e in a[col]]
             for r in range(n):
                 if r != col and a[r][col]:
                     f = a[r][col]

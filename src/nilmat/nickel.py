@@ -31,13 +31,12 @@ import itertools
 from fractions import Fraction
 
 from .distortion import GuardError, SubgroupGens, distortion_degree
-from .jennings import EmbeddingResult
+from .jennings import _embedding_result
 from .matgroup import (
     RationalSquareMatrix as _RatMat,
     UnitriangularMatrix,
     level_weight,
 )
-from .presentation import evaluate_coords, relation_failures
 
 __all__ = [
     "CoordinatePolynomial",
@@ -278,13 +277,15 @@ def function_module(presentation):
     """Close the span of coordinate projections under translation.
 
     Seeds the basis with t_1..t_M and the constant, then repeatedly
-    applies every generator to every basis function, reducing against
-    the basis by graded-lex leading monomials.  Each generator acts
-    injectively on the finite-dimensional span, so a span closed under
-    the generators is closed under their inverses too.  A
-    nonzero residue joins the basis sign-normalized but not rescaled,
-    so forced functions keep their natural denominators.  Action rows
-    are recorded as they are computed; entries over basis elements
+    applies every generator to every basis function.  One reduction
+    against the basis by graded-lex leading monomials both expresses a
+    translate in the basis and finds what it adds: at the first leading
+    monomial with no basis row, the remainder joins the basis
+    sign-normalized but not rescaled, so forced functions keep their
+    natural denominators, and the reduction ends on it.  Each generator
+    acts injectively on the finite-dimensional span, so a span closed
+    under the generators is closed under their inverses too.  Action
+    rows are recorded as they are computed; entries over basis elements
     discovered later are zero by construction.
     """
     m = presentation.M
@@ -292,81 +293,46 @@ def function_module(presentation):
     labels = []
     lead_rows = {}
 
-    def insert(poly, label):
-        poly = _reduce(poly)
-        if poly.is_zero:
-            raise ValueError(f"seed function {label} is dependent")
-        lead = poly.leading()
-        if poly.terms[lead] < 0:
-            poly = poly.scaled(-1)
-        lead_rows[lead] = len(basis)
-        basis.append(poly)
-        labels.append(label)
-
-    def _reduce(poly):
-        while not poly.is_zero:
-            lead = poly.leading()
-            row = lead_rows.get(lead)
-            if row is None:
-                return poly
-            b = basis[row]
-            poly = poly.combine(b, -poly.terms[lead] / b.terms[lead])
-        return poly
-
-    def _express(poly):
-        """Coefficients of poly over the current basis; None entries
-        are impossible once the module is closed."""
+    def express(poly, label):
+        """Coefficients of poly over the basis, which first gains
+        poly's nonzero remainder, if any, under label."""
         coeffs = {}
         while not poly.is_zero:
             lead = poly.leading()
             row = lead_rows.get(lead)
             if row is None:
-                raise RuntimeError("module closure produced a gap")
+                row = lead_rows[lead] = len(basis)
+                basis.append(poly if poly.terms[lead] > 0 else poly.scaled(-1))
+                labels.append(label)
             b = basis[row]
             c = poly.terms[lead] / b.terms[lead]
-            coeffs[row] = coeffs.get(row, Fraction(0)) + c
+            coeffs[row] = c
             poly = poly.combine(b, -c)
         return coeffs
 
     for k in range(1, m + 1):
-        insert(
+        express(
             CoordinatePolynomial.coordinate(m, k), _coordinate_label(presentation, k)
         )
-    insert(CoordinatePolynomial.constant(m), "1")
+    express(CoordinatePolynomial.constant(m), "1")
 
     rows = {}  # (source index, generator) -> coefficient dict
-    extras = 0
     idx = 0
     while idx < len(basis):
         f = basis[idx]
         for k in range(1, m + 1):
             moved = _translate(f, presentation.generator(k), presentation)
-            residue = _reduce(moved)
-            if not residue.is_zero:
-                lead = residue.leading()
-                if residue.terms[lead] < 0:
-                    residue = residue.scaled(-1)
-                extras += 1
-                lead_rows[lead] = len(basis)
-                basis.append(residue)
-                labels.append(f"q{extras}")
-            rows[(idx, k)] = _express(moved)
+            rows[(idx, k)] = express(moved, f"q{len(basis) - m}")
         idx += 1
 
     dim = len(basis)
-    matrices = {}
-    for k in range(1, m + 1):
-        mat = []
-        for i in range(dim):
-            coeffs = rows.get((i, k))
-            if coeffs is None:
-                # basis element appeared after the sweep reached it;
-                # cannot happen because the sweep covers every index
-                raise RuntimeError("module closure missed a basis row")
-            mat.append(
-                tuple(coeffs.get(j, Fraction(0)) for j in range(dim))
-            )
-        matrices[k] = tuple(mat)
+    matrices = {
+        k: tuple(
+            tuple(rows[(i, k)].get(j, Fraction(0)) for j in range(dim))
+            for i in range(dim)
+        )
+        for k in range(1, m + 1)
+    }
     return FunctionModule(presentation, basis, labels, matrices)
 
 
@@ -449,25 +415,11 @@ def nickel_embedding(presentation, ordering=None):
     perm = [index[lab] for lab in ordering]
     base = [module.matrices[k] for k in range(1, presentation.M + 1)]
     shaped, edges = _support(base)
-    unitriangular = shaped and _extends(perm, edges)
-    if unitriangular:
-        gens = tuple(
-            UnitriangularMatrix(_permuted(m, perm, int)) for m in base
-        )
+    if shaped and _extends(perm, edges):
+        gens = [UnitriangularMatrix(_permuted(m, perm, int)) for m in base]
     else:
-        gens = tuple(_RatMat(_permuted(m, perm, Fraction)) for m in base)
-    one = gens[0] ** 0
-    failures = relation_failures(
-        presentation, lambda coords: evaluate_coords(coords, gens, one)
-    )
-    return EmbeddingResult(
-        d=module.dimension,
-        ordering=ordering,
-        generators=gens,
-        unitriangular=unitriangular,
-        basis=module,
-        relators_ok=not failures,
-    )
+        gens = [_RatMat(_permuted(m, perm, Fraction)) for m in base]
+    return _embedding_result(presentation, gens, ordering, module)
 
 
 def ordering_search(module, mode="exhaustive"):

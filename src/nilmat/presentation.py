@@ -182,8 +182,8 @@ class NilpotentPresentation:
     def validate(self, deep=False):
         """Re-run structural checks; with deep=True also test
         associativity over all generator/inverse triples and, when a
-        matrix realization is attached, verify every commutator
-        relation inside the matrix group."""
+        matrix realization is attached, check every relation on its
+        matrices with relation_failures."""
         NilpotentPresentation(
             self.M, self.weights, self.relations
         )
@@ -208,17 +208,9 @@ class NilpotentPresentation:
         mats = self.realized_generators()
         if mats is None:
             return
-        one = mats[0] ** 0
-        for j in range(2, self.M + 1):
-            for i in range(1, j):
-                got = commutator(mats[j - 1], mats[i - 1])
-                want = evaluate_coords(
-                    self.relations.get((j, i), self._zero), mats, one
-                )
-                if got != want:
-                    raise ValueError(
-                        f"realization breaks relation ({j}, {i})"
-                    )
+        failures = relation_failures(self, mats)
+        if failures:
+            raise ValueError(f"realization breaks relation {failures[0]}")
 
     def realized_generators(self):
         """Elementary matrices of the attached realization, or None."""
@@ -241,32 +233,29 @@ def evaluate_coords(coords, images, one):
     return one if out is None else out
 
 
-def relation_failures(p, matrix_of):
-    """Check that matrix_of (exponent tuple -> matrix) respects the
+def relation_failures(p, images):
+    """Check that the generator images images[k-1] of x_k respect the
     presentation.
 
     Uses only matrix products on generator and generator-inverse
-    images: x_j x_i must equal x_i x_j [x_j, x_i], and each inverse
-    image must cancel its generator.  Returns the offending relation
-    keys, with ("inv", k) marking a broken inverse; empty means clean.
+    images, each inverse taken once with inverse(): x_j x_i must equal
+    x_i x_j [x_j, x_i], and each inverse image must cancel its
+    generator.  Returns the offending relation keys, with ("inv", k)
+    marking a broken inverse; empty means clean.
     """
-    one = matrix_of(p.identity())
-    gen = {}
-    inv = {}
-    bad = []
-    for k in range(1, p.M + 1):
-        e = p.generator(k)
-        gen[k] = matrix_of(e)
-        inv[k] = matrix_of(p.inverse(e))
-        if gen[k] * inv[k] != one:
-            bad.append(("inv", k))
+    one = images[0] ** 0
+    inv = [g.inverse() for g in images]
+    bad = [
+        ("inv", k) for k in range(1, p.M + 1)
+        if images[k - 1] * inv[k - 1] != one
+    ]
     for j in range(2, p.M + 1):
         for i in range(1, j):
             word = p.relations.get((j, i), p.identity())
-            lhs = gen[j] * gen[i]
-            rhs = gen[i] * gen[j]
-            for k, e in enumerate(word, start=1):
-                b = gen[k] if e > 0 else inv[k]
+            lhs = images[j - 1] * images[i - 1]
+            rhs = images[i - 1] * images[j - 1]
+            for k, e in enumerate(word):
+                b = images[k] if e > 0 else inv[k]
                 for _ in range(abs(e)):
                     rhs = rhs * b
             if lhs != rhs:

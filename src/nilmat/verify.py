@@ -26,10 +26,10 @@ from .distortion import (
     standardize,
     subgroup_depth,
 )
-from .jennings import JenningsBasis, image_weights, jennings_embedding
+from .jennings import image_degree, image_weights, jennings_embedding
 from .matgroup import UnitriangularMatrix, elementary, identity, level_weight
 from .nickel import function_module, nickel_embedding, ordering_search
-from .presentation import builtin
+from .presentation import builtin, evaluate_coords
 
 __all__ = ["CHECKS", "run_all"]
 
@@ -95,9 +95,9 @@ def check_weight_lex_image():
     weights = image_weights(emb)
     if weights[1] != 2:
         raise AssertionError(f"second generator image weight {weights[1]}")
-    report = distortion_degree(SubgroupGens(7, emb.generators))
-    if report.degree != 3:
-        raise AssertionError(f"image degree {report.degree}")
+    degree = image_degree(emb)
+    if degree != 3:
+        raise AssertionError(f"image degree {degree}")
     return "image weight 2 for the second generator, image degree 3"
 
 
@@ -112,7 +112,7 @@ def check_scheme_perturbed():
         wanted = tuple(j - i for (i, j) in p.positions)
         if weights != wanted:
             raise AssertionError(f"ut:{m}: weights {weights} != {wanted}")
-        degree = distortion_degree(SubgroupGens(emb.d, emb.generators)).degree
+        degree = image_degree(emb)
         if degree != 1:
             raise AssertionError(f"ut:{m}: degree {degree}")
         details.append(f"ut:{m} d={emb.d}")
@@ -125,7 +125,7 @@ def check_freenil_image():
         raise AssertionError(f"basis size {emb.d}")
     if emb.basis.monomials != FREENIL_BASIS_15:
         raise AssertionError("basis monomials differ from the stored list")
-    degree = distortion_degree(SubgroupGens(15, emb.generators)).degree
+    degree = image_degree(emb)
     if not degree > 1:
         raise AssertionError(f"image degree {degree} not > 1")
     return f"15 basis monomials as stored, image degree {degree} > 1"
@@ -148,7 +148,7 @@ def check_function_module_ut():
         wanted = tuple(j - i for (i, j) in p.positions)
         if weights != wanted:
             raise AssertionError(f"ut:{m}: weights {weights} != {wanted}")
-        degree = distortion_degree(SubgroupGens(emb.d, emb.generators)).degree
+        degree = image_degree(emb)
         if degree != 1:
             raise AssertionError(f"ut:{m}: degree {degree}")
         details.append(f"ut:{m} dim={module.dimension}")
@@ -250,13 +250,10 @@ def check_relators_and_injectivity():
     words = set()
     while len(words) < 1000:
         words.add(tuple(rng.randint(-3, 3) for _ in range(5)))
-    images = set()
-    for word in words:
-        g = emb.generators[0] ** 0
-        for gen, e in zip(emb.generators, word):
-            if e:
-                g = g * gen ** e
-        images.add(g.rows)
+    one = emb.generators[0] ** 0
+    images = {
+        evaluate_coords(word, emb.generators, one).rows for word in words
+    }
     if len(images) != len(words):
         raise AssertionError(f"{len(images)} images for {len(words)} words")
     return "relators pass on 5 embeddings; 1000 words gave 1000 matrices"

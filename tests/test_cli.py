@@ -104,13 +104,42 @@ def test_nickel_rejects_inconsistent_file_group(capsys, tmp_path):
     assert json.loads(out)["records"][0]["unitriangular"] is True
 
 
-def test_orderings_nickel_exhaustive_stdout_is_pinned(capsys):
-    rc, out, _ = run(capsys, "orderings", "nickel", "heisenberg:2",
-                     "--exhaustive")
+# sha256 of stdout per command line; the two permuted embeddings take
+# the RationalSquareMatrix path
+PINNED_STDOUT = {
+    "orderings-nickel-heisenberg2-exhaustive": (
+        ("orderings", "nickel", "heisenberg:2", "--exhaustive"),
+        "261012b8d1030f96da835d5018501c27876b9ab47a12409038513718ea7ef41f",
+    ),
+    "orderings-jennings-ut3": (
+        ("orderings", "jennings", "ut:3"),
+        "4d17f46115f0d75782541de2fba6e49acbde5598f0409cad92cb3d6b6349cb3e",
+    ),
+    "orderings-jennings-ut4scheme": (
+        ("orderings", "jennings", "ut:4:scheme"),
+        "a38317a06e8cf4af678203d7b86341155e2bb5d4a5d69242a288bae86cbdaeda",
+    ),
+    "orderings-jennings-freenil23": (
+        ("orderings", "jennings", "freenil23"),
+        "256b517559fb1b6a7813f09bd228d74cc808641b22dd4df2ddb4364e52ea4f13",
+    ),
+    "embed-jennings-ut3-permuted": (
+        ("embed", "jennings", "ut:3", "--order", "1,2,3,4,5,6,0"),
+        "8317cdfaf08cec44a53e62c2ee6ea7d019f95a7bb94d464ad7df6e96b3eca9f1",
+    ),
+    "embed-nickel-ut3-permuted": (
+        ("embed", "nickel", "ut:3", "--order", "1,t12,t13,t23"),
+        "4ae074ad6fcdd6f0efca9b86ce4ba3e168c4db234f1204730e62f4b3462d9d8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_STDOUT))
+def test_stdout_is_pinned(capsys, case):
+    argv, digest = PINNED_STDOUT[case]
+    rc, out, _ = run(capsys, *argv)
     assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "261012b8d1030f96da835d5018501c27876b9ab47a12409038513718ea7ef41f"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_orderings_nickel_report_first_has_no_size_cap(capsys):
@@ -201,6 +230,12 @@ def test_construct_json(capsys):
 def test_construct_rejects_bad_ratio(capsys):
     rc, out, err = run(capsys, "construct", "--p", "2", "--q", "3")
     assert rc == 1 and out == ""
+
+
+def test_construct_size_cap_exit_3(capsys):
+    rc, out, err = run(capsys, "construct", "--p", "724", "--q", "2")
+    assert rc == 3 and out == ""
+    assert "N(N-1)/2 = 262450 positions; the cap is 262144" in err
 
 
 def test_construct_pipes_into_distortion():

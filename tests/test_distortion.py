@@ -535,3 +535,17 @@ def test_subgroup_size_cap(monkeypatch):
     assert f"N(N-1)/2 = {n * (n - 1) // 2}" in str(info.value)
     assert f"the cap is {cap}" in str(info.value)
     assert peak < 64 * 1024
+
+
+def test_distorted_subgroup_size_cap(monkeypatch):
+    # p = 724 is the smallest p with (p+1)p/2 past the cap of 2^18
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(distortion, "elementary", no_matrix)
+    monkeypatch.setattr(distortion, "identity", no_matrix)
+    with pytest.raises(GuardError) as info:
+        distorted_subgroup(724, 2)
+    assert "N(N-1)/2 = 262450 positions; the cap is 262144" in str(
+        info.value
+    )

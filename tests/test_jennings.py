@@ -231,8 +231,6 @@ def test_element_matrix_is_product_of_generator_powers(name):
         gens = [basis.action_matrix(k) for k in range(1, M + 1)]
         dense = not all(isinstance(g, UnitriangularMatrix) for g in gens)
         if dense:
-            if len(basis) > 30:
-                continue  # dense Fraction products: seconds at d = 132
             gens = [RationalSquareMatrix(g.rows) for g in gens]
         one = gens[0] ** 0
         words = [tuple(rng.randint(-2, 2) for _ in range(M))]

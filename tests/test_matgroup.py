@@ -182,6 +182,24 @@ def test_rational_square_matrix_group_ops():
         RationalSquareMatrix(((0, 0), (0, 0))).inverse()
 
 
+def test_rational_square_matrix_keeps_int_entries():
+    def types(m):
+        return {type(e) for row in m.rows for e in row}
+
+    # a permuted integer matrix: pivots are 1 or -1 after row swaps
+    m = RationalSquareMatrix(((0, 1, 2), (-1, 0, 3), (0, 0, 1)))
+    assert types(m) == {int}
+    assert types(m * m) == {int}
+    assert types(m ** 0) == {int}
+    assert types(m.inverse()) == {int}
+    assert m * m.inverse() == RationalSquareMatrix.identity(3)
+    # other pivots divide through a Fraction, never a float
+    h = RationalSquareMatrix(((2, 1), (0, 1))).inverse()
+    assert h.rows == ((Fraction(1, 2), Fraction(-1, 2)), (0, 1))
+    assert float not in types(h)
+    assert types(RationalSquareMatrix(((Fraction(3), 0.5),))) == {Fraction}
+
+
 def test_matrix_json_roundtrip_keeps_big_integers():
     big = 10 ** 40 + 7
     g = elementary(3, 1, 3, big)

@@ -293,17 +293,22 @@ def test_deep_validation_flags_inconsistent_relations():
 
 def test_relation_failures_reports_bad_images():
     p = builtin("ut:3")
-    one = identity(3)
     good = p.realized_generators()
-
-    def images_of(mats):
-        def matrix_of(vec):
-            return evaluate_coords(vec, mats, one)
-        return matrix_of
-
-    assert relation_failures(p, images_of(good)) == []
+    assert relation_failures(p, good) == []
     bad = [good[0], good[0], good[2]]
-    assert relation_failures(p, images_of(bad)) != []
+    assert relation_failures(p, bad) != []
+
+
+def test_deep_validate_names_the_broken_relation():
+    # [x_2, x_1] of the realization is x_3^-1, not x_3
+    p = NilpotentPresentation(
+        3, (1, 1, 2), {(2, 1): (0, 0, 1)},
+        positions=((1, 2), (2, 3), (1, 3)), ambient_n=3,
+    )
+    with pytest.raises(
+        ValueError, match=r"realization breaks relation \(2, 1\)"
+    ):
+        p.validate(deep=True)
 
 
 def test_json_roundtrip():
