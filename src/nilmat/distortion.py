@@ -28,10 +28,10 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from .matgroup import (
-    PositionBasis,
     RationalNilpotentMatrix,
     UnitriangularMatrix,
     _entry_from_json,
+    _lead,
     _log_numerator,
     _wrap,
     binary_power,
@@ -73,9 +73,22 @@ class GuardError(RuntimeError):
     """A search was asked to exceed its hard instance-size bound."""
 
 
-# standardize indexes all N(N-1)/2 strictly-upper positions of UT_N(Z);
-# the cap admits the Jennings image of ut:6 (N = 624, 194376 positions)
+# standardize can fill one slot per strictly-upper position of UT_N(Z),
+# N(N-1)/2 of them, and its closure's round cap is their square plus 4;
+# the cap keeps N <= 724 and admits the Jennings image of ut:6 (N = 624,
+# 194376 positions)
 MAX_POSITIONS = 1 << 18
+
+
+def _check_positions(n):
+    """N(N-1)/2 for N = n; GuardError when it exceeds MAX_POSITIONS."""
+    positions = n * (n - 1) // 2
+    if positions > MAX_POSITIONS:
+        raise GuardError(
+            f"subgroup size N = {n} has N(N-1)/2 = {positions} "
+            f"positions; the cap is {MAX_POSITIONS}"
+        )
+    return positions
 
 
 def _xgcd(a, b):
@@ -137,21 +150,21 @@ def subgroup_from_json(obj):
 class StandardizedSequence:
     """Generators of a subgroup in standard form.
 
-    Slots are ordered by the position (in the level-major basis) of
-    their first nonzero entry; lead positions are strictly increasing
-    and lead coefficients positive.  After conjugation closure the
-    sequence is polycyclic: every element of the subgroup is a product
-    of slot powers in slot order, which makes membership decidable by
-    a greedy peel with divisibility checks.
+    Slots are ordered by the lead of their first nonzero entry in
+    level-major order (see matgroup._lead); lead_pairs holds each lead
+    as (level, 0-based row), strictly increasing, and lead coefficients
+    are positive.  After conjugation closure the sequence is polycyclic:
+    every element of the subgroup is a product of slot powers in slot
+    order, which makes membership decidable by a greedy peel with
+    divisibility checks.
     """
 
-    __slots__ = ("n", "basis", "slots", "leads", "coeffs")
+    __slots__ = ("n", "slots", "lead_pairs", "coeffs")
 
-    def __init__(self, n, basis, slots, leads, coeffs):
+    def __init__(self, n, slots, lead_pairs, coeffs):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "slots", tuple(slots))
-        object.__setattr__(self, "leads", tuple(leads))
+        object.__setattr__(self, "lead_pairs", tuple(lead_pairs))
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, name, value):
@@ -168,9 +181,18 @@ class StandardizedSequence:
         return hash((self.n, self.slots))
 
     @property
+    def leads(self):
+        """Index of each slot's lead among the N(N-1)/2 positions in
+        level-major order."""
+        n = self.n
+        return tuple(
+            (l - 1) * n - l * (l - 1) // 2 + i for l, i in self.lead_pairs
+        )
+
+    @property
     def levels(self):
         """Ambient depth of each slot's lead position."""
-        return tuple(self.basis.weights[k] for k in self.leads)
+        return tuple(l for l, _ in self.lead_pairs)
 
     def __len__(self):
         return len(self.slots)
@@ -178,18 +200,8 @@ class StandardizedSequence:
     def __repr__(self):
         return (
             f"StandardizedSequence(n={self.n}, leads="
-            f"{[self.basis.positions[k] for k in self.leads]})"
+            f"{[(i + 1, i + 1 + l) for l, i in self.lead_pairs]})"
         )
-
-
-def _lead_index(m, basis, start=0):
-    """Index of the first basis position from start on where m is
-    nonzero, or None when there is none (for start 0, the identity)."""
-    rows = m.rows
-    for k, (i, j) in enumerate(basis.positions[start:], start):
-        if rows[i - 1][j - 1]:
-            return k
-    return None
 
 
 def _power(x, xi, e):
@@ -200,36 +212,34 @@ def _power(x, xi, e):
 class _Sifter:
     """Mutable workspace for building a standardized sequence.
 
-    Each slot's inverse is kept beside it in ``inverses`` (inverted once,
-    when the slot is set), so a reduction step is a power of the slot or
-    of its inverse times the element.  The inverses stay here and are
-    not copied to the StandardizedSequence.
+    Slots are keyed by their lead (level, row).  Each slot's inverse is
+    kept beside it in ``inverses`` (inverted once, when the slot is set),
+    so a reduction step is a power of the slot or of its inverse times
+    the element.  The inverses stay here and are not copied to the
+    StandardizedSequence.
     """
 
     def __init__(self, n):
         self.n = n
-        self.basis = PositionBasis(n)
         self.slots = {}
         self.inverses = {}
         self.queue = []
 
     def sift(self, m):
-        basis = self.basis
-        k = -1
+        level, row = 1, 0
         while True:
-            # a reduction step clears the lead and everything before it
-            k = _lead_index(m, basis, k + 1)
+            k = _lead(m, level, row)
             if k is None:
                 return
-            i, j = basis.positions[k]
-            a = m.rows[i - 1][j - 1]
+            level, i = k
+            a = m.rows[i][i + level]
             g = self.slots.get(k)
             if g is None:
                 mi = m.inverse()
                 self.slots[k], self.inverses[k] = (m, mi) if a > 0 else (mi, m)
                 return
             gi = self.inverses[k]
-            c = g.rows[i - 1][j - 1]
+            c = g.rows[i][i + level]
             if a % c:
                 d, u, v = _xgcd(c, a)
                 # h = g**u * m**v has lead coefficient u*c + v*a = d > 0.
@@ -245,6 +255,8 @@ class _Sifter:
                 self.queue.append(g)
                 g, gi, c = h, hi, d
             m = _power(g, gi, -(a // c)) * m
+            # the reduction cleared the lead and everything before it
+            row = i + 1
 
     def drain(self):
         while self.queue:
@@ -265,36 +277,23 @@ def standardize(sub):
     Raises GuardError, before building anything, when N(N-1)/2 exceeds
     MAX_POSITIONS.
     """
-    positions = sub.n * (sub.n - 1) // 2
-    if positions > MAX_POSITIONS:
-        raise GuardError(
-            f"subgroup size N = {sub.n} has N(N-1)/2 = {positions} "
-            f"positions; the cap is {MAX_POSITIONS}"
-        )
+    cap = _check_positions(sub.n) ** 2 + 4
     sifter = _Sifter(sub.n)
     for g in sub.generators:
         sifter.sift(g)
     sifter.drain()
-    cap = len(sifter.basis) ** 2 + 4
+    # slots are only ever assigned, never removed
     for _ in range(cap):
         snapshot = dict(sifter.slots)
         for ka in sorted(snapshot):
-            a = sifter.slots.get(ka)
-            if a is None:
-                continue
+            a = sifter.slots[ka]
             ai = sifter.inverses[ka]
             for kb in sorted(snapshot):
                 if kb == ka:
                     continue
-                b = sifter.slots.get(kb)
-                if b is None:
-                    continue
-                sifter.sift(ai * b * a)
+                sifter.sift(ai * sifter.slots[kb] * a)
                 sifter.drain()
-                b = sifter.slots.get(kb)
-                if b is None:
-                    continue
-                sifter.sift(a * b * ai)
+                sifter.sift(a * sifter.slots[kb] * ai)
                 sifter.drain()
         if sifter.slots == snapshot:
             break
@@ -302,12 +301,8 @@ def standardize(sub):
         raise RuntimeError("conjugation closure did not stabilize")
     leads = sorted(sifter.slots)
     slots = [sifter.slots[k] for k in leads]
-    basis = sifter.basis
-    coeffs = [
-        s.rows[basis.positions[k][0] - 1][basis.positions[k][1] - 1]
-        for k, s in zip(leads, slots)
-    ]
-    return StandardizedSequence(sub.n, basis, slots, leads, coeffs)
+    coeffs = [s.rows[i][i + l] for (l, i), s in zip(leads, slots)]
+    return StandardizedSequence(sub.n, slots, leads, coeffs)
 
 
 def _as_sequence(sub):
@@ -341,25 +336,24 @@ def member_certificate(h, sub):
     seq = _as_sequence(sub)
     if h.n != seq.n:
         raise ValueError("size mismatch")
-    basis = seq.basis
     exps = []
     cur = h
-    for k, slot, c in zip(seq.leads, seq.slots, seq.coeffs):
-        lead = _lead_index(cur, basis)
+    for k, slot, c in zip(seq.lead_pairs, seq.slots, seq.coeffs):
+        lead = _lead(cur)
         if lead is None:
             exps.extend([0] * (len(seq) - len(exps)))
             return tuple(exps)
         if lead < k:
             return None
-        i, j = basis.positions[k]
-        a = cur.rows[i - 1][j - 1]
+        l, i = k
+        a = cur.rows[i][i + l]
         if a % c:
             return None
         e = a // c
         exps.append(e)
         if e:
             cur = slot ** (-e) * cur
-    if _lead_index(cur, basis) is not None:
+    if _lead(cur) is not None:
         return None
     return tuple(exps)
 
@@ -688,12 +682,7 @@ def distorted_subgroup(p, q):
     if not p >= q >= 2:
         raise ValueError("need p >= q >= 2")
     n = p + 1
-    positions = n * p // 2
-    if positions > MAX_POSITIONS:
-        raise GuardError(
-            f"subgroup size N = {n} has N(N-1)/2 = {positions} "
-            f"positions; the cap is {MAX_POSITIONS}"
-        )
+    _check_positions(n)
     if q == 2:
         bridge = elementary(n, n - 1, n) * elementary(n, 2, n)
         gens = [elementary(n, 1, 2), bridge, elementary(n, 1, n)]

@@ -219,29 +219,37 @@ def commutator(a, b):
     return a.inverse() * b.inverse() * a * b
 
 
+def _lead(m, level=1, row=0):
+    """(level, row) of the first nonzero strictly-upper entry of m in
+    level-major order (level j - i ascending, then row; rows 0-based),
+    from (level, row) on; None when there is none."""
+    rows = m.rows
+    n = m.n
+    for lvl in range(level, n):
+        for i in range(row, n - lvl):
+            if rows[i][i + lvl]:
+                return lvl, i
+        row = 0
+    return None
+
+
 def level_weight(m):
     """Smallest j - i over nonzero entries; the depth of m in the
     lower central series of the full unitriangular group.
 
     Raises ValueError for the identity, whose weight is unbounded.
     """
-    n = m.n
-    for lvl in range(1, n):
-        for i in range(n - lvl):
-            if m.rows[i][i + lvl]:
-                return lvl
-    raise ValueError("identity matrix has no finite weight")
+    lead = _lead(m)
+    if lead is None:
+        raise ValueError("identity matrix has no finite weight")
+    return lead[0]
 
 
 def in_level_subgroup(m, l):
     """True when every entry strictly closer to the diagonal than
     level l vanishes, i.e. m sits at depth >= l."""
-    n = m.n
-    for lvl in range(1, min(l, n)):
-        for i in range(n - lvl):
-            if m.rows[i][i + lvl]:
-                return False
-    return True
+    lead = _lead(m)
+    return lead is None or lead[0] >= l
 
 
 class PositionBasis:

@@ -239,9 +239,10 @@ def relation_failures(p, images):
 
     Uses only matrix products on generator and generator-inverse
     images, each inverse taken once with inverse(): x_j x_i must equal
-    x_i x_j [x_j, x_i], and each inverse image must cancel its
-    generator.  Returns the offending relation keys, with ("inv", k)
-    marking a broken inverse; empty means clean.
+    x_i x_j [x_j, x_i], each power in the word taken by binary_power,
+    and each inverse image must cancel its generator.  Returns the
+    offending relation keys, with ("inv", k) marking a broken inverse;
+    empty means clean.
     """
     one = images[0] ** 0
     inv = [g.inverse() for g in images]
@@ -255,9 +256,9 @@ def relation_failures(p, images):
             lhs = images[j - 1] * images[i - 1]
             rhs = images[i - 1] * images[j - 1]
             for k, e in enumerate(word):
-                b = images[k] if e > 0 else inv[k]
-                for _ in range(abs(e)):
-                    rhs = rhs * b
+                if e:
+                    b = images[k] if e > 0 else inv[k]
+                    rhs = rhs * binary_power(b, abs(e), one)
             if lhs != rhs:
                 bad.append((j, i))
     return bad
@@ -335,8 +336,9 @@ def _positive_int(text, name):
 
 
 def presentation_to_json(p):
-    """Wire form with deterministic key order."""
-    return {
+    """Wire form with deterministic key order; a realization adds
+    positions ([[i, j], ...]) and ambient_n."""
+    obj = {
         "M": p.M,
         "weights": list(p.weights),
         "relations": [
@@ -345,16 +347,23 @@ def presentation_to_json(p):
         ],
         "label": p.label,
     }
+    if p.positions is not None:
+        obj["positions"] = [[i, j] for i, j in p.positions]
+        obj["ambient_n"] = p.ambient_n
+    return obj
 
 
 def presentation_from_json(obj):
-    """Inverse of presentation_to_json.  ValueError on malformed input."""
+    """Inverse of presentation_to_json.  ValueError on malformed input,
+    including positions that are not M pairs 1 <= i < j <= ambient_n."""
     try:
-        M = obj["M"]
+        M = _entry_from_json(obj["M"], "M")
         weights = obj["weights"]
         raw = obj["relations"]
         label = obj.get("label")
-    except (TypeError, KeyError) as exc:
+        positions = obj.get("positions")
+        ambient_n = obj.get("ambient_n")
+    except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"malformed presentation object: {exc}") from exc
     rels = {}
     for item in raw:
@@ -362,4 +371,22 @@ def presentation_from_json(obj):
             rels[(item["j"], item["i"])] = tuple(item["word"])
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed relation entry: {exc}") from exc
-    return NilpotentPresentation(M, weights, rels, label=label)
+    if positions is not None or ambient_n is not None:
+        ambient_n = _entry_from_json(ambient_n, "ambient_n")
+        if not isinstance(positions, list) or len(positions) != M:
+            raise ValueError(f"positions must be a list of M = {M} pairs")
+        pairs = []
+        for pair in positions:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"position {pair!r} is not a pair [i, j]")
+            i, j = (_entry_from_json(e, "position index") for e in pair)
+            if not 1 <= i < j <= ambient_n:
+                raise ValueError(
+                    f"position ({i}, {j}) is not 1 <= i < j <= {ambient_n}"
+                )
+            pairs.append((i, j))
+        positions = pairs
+    return NilpotentPresentation(
+        M, weights, rels, label=label, positions=positions,
+        ambient_n=ambient_n,
+    )

@@ -104,6 +104,45 @@ def test_nickel_rejects_inconsistent_file_group(capsys, tmp_path):
     assert json.loads(out)["records"][0]["unitriangular"] is True
 
 
+def dump_builtin(tmp_path, name):
+    path = tmp_path / f"{name.replace(':', '_')}.json"
+    path.write_text(json.dumps(presentation_to_json(builtin(name))))
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("embed", "jennings", "ut:4:scheme", "--order", "scheme-perturbed"),
+    ("embed", "nickel", "ut:3:scheme"),
+])
+def test_dumped_builtin_keeps_its_realization(capsys, tmp_path, argv):
+    # positions and ambient_n survive the file, so the perturbed order,
+    # the declared ordering and the t_ij labels all still apply
+    rc, want, _ = run(capsys, *argv)
+    assert rc == 0
+    loaded = list(argv)
+    loaded[2] = dump_builtin(tmp_path, argv[2])
+    rc, out, err = run(capsys, *loaded)
+    assert rc == 0 and err == ""
+    assert out == want
+
+
+@pytest.mark.parametrize("positions", [
+    [[1, 2], [2, 3]],
+    [[1, 2], [2, 3], [1, 4]],
+    [[1, 2], [2, 3], [3, 1]],
+    [[1, 2], [2, 3], [1, 2.5]],
+])
+def test_embed_rejects_malformed_positions(capsys, tmp_path, positions):
+    obj = presentation_to_json(builtin("ut:3:scheme"))
+    obj["positions"] = positions
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    for kind in ("jennings", "nickel"):
+        rc, out, err = run(capsys, "embed", kind, f"file:{path}")
+        assert rc == 1 and out == ""
+        assert err.startswith("nilmat: error:")
+
+
 # sha256 of stdout per command line; the two permuted embeddings take
 # the RationalSquareMatrix path
 PINNED_STDOUT = {

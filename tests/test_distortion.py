@@ -498,7 +498,7 @@ def test_trivial_subgroup_is_refused_before_any_basis(monkeypatch):
     def no_basis(*args):
         raise AssertionError("a position basis was built")
 
-    monkeypatch.setattr(distortion, "PositionBasis", no_basis)
+    monkeypatch.setattr(distortion, "PositionBasis", no_basis, raising=False)
     for sub in (
         subgroup_from_json({"N": 600, "generators": []}),
         SubgroupGens(5, [identity(5)]),
@@ -524,7 +524,7 @@ def test_subgroup_size_cap(monkeypatch):
     def no_basis(*args):
         raise AssertionError("a position basis was built")
 
-    monkeypatch.setattr(distortion, "PositionBasis", no_basis)
+    monkeypatch.setattr(distortion, "PositionBasis", no_basis, raising=False)
     tracemalloc.start()
     try:
         with pytest.raises(GuardError) as info:
@@ -535,6 +535,15 @@ def test_subgroup_size_cap(monkeypatch):
     assert f"N(N-1)/2 = {n * (n - 1) // 2}" in str(info.value)
     assert f"the cap is {cap}" in str(info.value)
     assert peak < 64 * 1024
+
+
+def test_degree_builds_no_position_list(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("a position basis was built")
+
+    monkeypatch.setattr(distortion, "PositionBasis", no_basis, raising=False)
+    # a copy that no other test standardizes, so that no cache answers
+    assert distortion_degree(disguised(9, 4, 904)).degree == Fraction(9, 4)
 
 
 def test_distorted_subgroup_size_cap(monkeypatch):

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilmat.matgroup import identity
+from nilmat.jennings import jennings_embedding
+from nilmat.matgroup import UnitriangularMatrix, identity
 from nilmat.presentation import (
     NilpotentPresentation,
     builtin,
@@ -311,8 +312,13 @@ def test_deep_validate_names_the_broken_relation():
         p.validate(deep=True)
 
 
+STOCK_NAMES = ORACLE_NAMES + (
+    "ut:2", "ut:4", "ut:5", "ut:3:scheme", "ut:4:scheme", "heisenberg:3",
+)
+
+
 def test_json_roundtrip():
-    for name in ORACLE_NAMES + ("ut:4",):
+    for name in STOCK_NAMES:
         p = builtin(name)
         obj = presentation_to_json(p)
         q = presentation_from_json(obj)
@@ -320,4 +326,50 @@ def test_json_roundtrip():
         assert q.weights == p.weights
         assert q.relations == p.relations
         assert q.label == p.label
+        assert q.positions == p.positions
+        assert q.ambient_n == p.ambient_n
+        assert ("positions" in obj) == (p.positions is not None)
     assert obj["relations"][0].keys() == {"j", "i", "word"}
+    # heisenberg:3 sits in UT_5 with x_1, x_2 at (1, 2), (1, 3)
+    assert obj["positions"][:2] == [[1, 2], [1, 3]]
+    assert obj["ambient_n"] == 5
+
+
+@pytest.mark.parametrize("positions,ambient_n", [
+    ([[1, 2], [2, 3]], 3),
+    ([[1, 2], [2, 3], [1, 3], [1, 3]], 3),
+    ([[1, 2], [2, 3], [1, 4]], 3),
+    ([[1, 2], [3, 2], [1, 3]], 3),
+    ([[0, 2], [2, 3], [1, 3]], 3),
+    ([[1, 2], [2, 3], [1, 3, 4]], 3),
+    ([[1, 2], [2, 3], "13"], 3),
+    ([[1, 2], [2, 3], [1, 3.0]], 3),
+    ([[1, 2], [2, 3], [1, 3]], None),
+    ([[1, 2], [2, 3], [1, 3]], 2.5),
+    (None, 3),
+    ({"1": 2}, 3),
+])
+def test_json_rejects_malformed_positions(positions, ambient_n):
+    obj = presentation_to_json(builtin("ut:3"))
+    obj["positions"], obj["ambient_n"] = positions, ambient_n
+    with pytest.raises(ValueError):
+        presentation_from_json(obj)
+
+
+def test_relation_failures_takes_binary_powers(monkeypatch):
+    # a word entry of 10**9 costs about 30 squarings, not 10**9 products
+    mul = UnitriangularMatrix.__mul__
+    calls = 0
+
+    def bounded(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > 200:
+            raise AssertionError("relator check is linear in the exponent")
+        return mul(a, b)
+
+    monkeypatch.setattr(UnitriangularMatrix, "__mul__", bounded)
+    for e in (10**9, -(10**9)):
+        calls = 0
+        p = NilpotentPresentation(3, (1, 1, 2), {(2, 1): (0, 0, e)})
+        assert jennings_embedding(p).relators_ok

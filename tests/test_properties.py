@@ -1,0 +1,169 @@
+"""Property tests on drawn inputs, each against an oracle that does not
+share the code path it checks: the level-major lead scan against a
+brute-force minimum, collection against matrix products, presentation
+JSON against itself, and membership certificates against the product
+they certify."""
+
+import json
+from itertools import product
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from nilmat.distortion import (  # noqa: E402
+    SubgroupGens,
+    member_certificate,
+    standardize,
+)
+from nilmat.matgroup import (  # noqa: E402
+    UnitriangularMatrix,
+    _lead,
+    elementary,
+    identity,
+    in_level_subgroup,
+    level_weight,
+)
+from nilmat.presentation import (  # noqa: E402
+    NilpotentPresentation,
+    builtin,
+    evaluate_coords,
+    presentation_from_json,
+    presentation_to_json,
+)
+
+# derandomized and without an example database, so a run reads and
+# writes no state and every run draws the same examples
+fast = settings(max_examples=60, deadline=None, derandomize=True,
+                database=None)
+
+
+@st.composite
+def unitriangular(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if cells:
+        picked = draw(st.dictionaries(
+            st.sampled_from(cells), st.integers(-3, 3), max_size=6
+        ))
+        for (i, j), e in picked.items():
+            rows[i][j] = e
+    return UnitriangularMatrix(rows)
+
+
+def brute_lead(m, start=(1, 0)):
+    """Least (j - i, i) over nonzero strictly-upper entries, from start."""
+    keys = [
+        (j - i, i) for i in range(m.n) for j in range(i + 1, m.n)
+        if m.rows[i][j]
+    ]
+    return min((k for k in keys if k >= start), default=None)
+
+
+@fast
+@given(unitriangular(), st.integers(1, 10), st.integers(0, 10))
+def test_lead_is_the_level_major_minimum(m, level, row):
+    assert _lead(m) == brute_lead(m)
+    assert _lead(m, level, row) == brute_lead(m, (level, row))
+    lead = brute_lead(m)
+    if lead is None:
+        assert m.is_identity
+        with pytest.raises(ValueError):
+            level_weight(m)
+    else:
+        assert level_weight(m) == lead[0]
+    for l in range(0, m.n + 1):
+        assert in_level_subgroup(m, l) == (lead is None or lead[0] >= l)
+
+
+@fast
+@given(st.sampled_from(["ut:3", "ut:4:scheme", "heisenberg:2"]),
+       st.data())
+def test_multiply_matches_realized_matrices(name, data):
+    p = builtin(name)
+    mats = p.realized_generators()
+    one = identity(p.ambient_n)
+    coords = st.tuples(*[st.integers(-4, 4)] * p.M)
+    a, b = data.draw(coords), data.draw(coords)
+    left = evaluate_coords(a, mats, one) * evaluate_coords(b, mats, one)
+    assert evaluate_coords(p.multiply(a, b), mats, one) == left
+
+
+@st.composite
+def presentations(draw):
+    M = draw(st.integers(1, 4))
+    weights = sorted(draw(st.lists(st.integers(1, 3), min_size=M,
+                                   max_size=M)))
+    relations = {}
+    for j, i in product(range(1, M + 1), repeat=2):
+        if i >= j or not draw(st.booleans()):
+            continue
+        # a word may touch only x_k past x_j at depth >= w_i + w_j
+        word = tuple(
+            draw(st.integers(-9, 9))
+            if k > j and weights[k - 1] >= weights[i - 1] + weights[j - 1]
+            else 0
+            for k in range(1, M + 1)
+        )
+        relations[(j, i)] = word
+    positions = ambient_n = None
+    if draw(st.booleans()):
+        ambient_n = draw(st.integers(2, 6))
+        cells = [(i, j) for i in range(1, ambient_n + 1)
+                 for j in range(i + 1, ambient_n + 1)]
+        positions = draw(st.lists(st.sampled_from(cells), min_size=M,
+                                  max_size=M))
+    label = draw(st.one_of(st.none(), st.text("ut:h0123456789", max_size=8)))
+    return NilpotentPresentation(M, weights, relations, label=label,
+                                 positions=positions, ambient_n=ambient_n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(presentations())
+def test_presentation_json_round_trips(p):
+    obj = presentation_to_json(p)
+    q = presentation_from_json(json.loads(json.dumps(obj)))
+    assert (q.M, q.weights, q.relations, q.label) == (
+        p.M, p.weights, p.relations, p.label
+    )
+    assert (q.positions, q.ambient_n) == (p.positions, p.ambient_n)
+    assert presentation_to_json(q) == obj
+
+
+@st.composite
+def subgroup_words(draw, n=4):
+    """A subgroup of UT_n(Z) on two or three drawn generators, and a
+    word in them."""
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        g = identity(n)
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(1, n - 1))
+            j = draw(st.integers(i + 1, n))
+            g = g * elementary(n, i, j, draw(st.sampled_from((-2, -1, 1, 2))))
+        gens.append(g)
+    word = draw(st.lists(
+        st.tuples(st.integers(0, len(gens) - 1), st.integers(-3, 3)),
+        max_size=5,
+    ))
+    h = identity(n)
+    for k, e in word:
+        h = h * gens[k] ** e
+    return SubgroupGens(n, gens), h
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(subgroup_words())
+def test_member_certificate_reproduces_the_element(case):
+    sub, h = case
+    exps = member_certificate(h, sub)
+    assert exps is not None
+    seq = standardize(sub)
+    assert len(exps) == len(seq)
+    out = identity(sub.n)
+    for slot, e in zip(seq.slots, exps):
+        out = out * slot ** e
+    assert out == h
