@@ -4,15 +4,17 @@ Commands compose through JSON on stdin/stdout, so e.g. the generators
 emitted by ``construct`` pipe straight into ``distortion``.  Every
 command validates its input before computing and writes nothing on
 failure.  Exit codes: 0 success, 1 malformed input, 2 verification
-failure (a relator check or the verification suite), 3 engine guard
-refusal.
+failure (a relator check, the verification suite, or an internal
+consistency check), 3 engine guard refusal.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from .distortion import (
@@ -81,10 +83,28 @@ def _emit(args, payload, table):
     else:
         text = table
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_atomically(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_atomically(path, text):
+    """Write text to a temporary file beside path, then rename it over
+    path, so a failed write leaves any existing file as it was."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), prefix=".nilmat-"
+    )
+    try:
+        # the mode open(path, "w") would give, not mkstemp's 0600
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _matrix_lines(rows, indent="  "):
@@ -363,6 +383,10 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
         print(f"nilmat: error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        # an internal consistency check, such as standardize's closure
+        print(f"nilmat: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

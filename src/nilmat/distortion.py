@@ -9,9 +9,11 @@ subgroup's isolated lower central series.  By the Malcev
 correspondence that position is the largest k with log h in L_k, the
 k-th lower central term of the rational Lie algebra L_1 generated by
 the logarithms of the subgroup's generators; LieAlgebraSpan holds the
-whole series L_1 >= L_2 >= ... in integer echelon form.  The group-side
-series (lower_central_gens, commutators of the generators) serves only
-the independent oracle depth_by_powers.
+whole series L_1 >= L_2 >= ... in integer echelon form.  Any generating
+set gives the same series, so distortion_degree builds it from
+whichever of the input generators and the standardized slots is the
+shorter list.  The group-side series (lower_central_gens, commutators
+of the generators) serves only the independent oracle depth_by_powers.
 
 Everything is exact.  Searches that could blow up (brute-force word
 enumeration, metric balls) take explicit bounds and raise GuardError
@@ -216,7 +218,10 @@ class _Sifter:
     kept beside it in ``inverses`` (inverted once, when the slot is set),
     so a reduction step is a power of the slot or of its inverse times
     the element.  The inverses stay here and are not copied to the
-    StandardizedSequence.
+    StandardizedSequence.  ``assigned`` counts slot assignments: a sift
+    is a deterministic function of the element and the slots, so while
+    the count stands still, sifting the same element again changes
+    nothing.
     """
 
     def __init__(self, n):
@@ -224,6 +229,11 @@ class _Sifter:
         self.slots = {}
         self.inverses = {}
         self.queue = []
+        self.assigned = 0
+
+    def _assign(self, k, g, gi):
+        self.slots[k], self.inverses[k] = g, gi
+        self.assigned += 1
 
     def sift(self, m):
         level, row = 1, 0
@@ -236,7 +246,7 @@ class _Sifter:
             g = self.slots.get(k)
             if g is None:
                 mi = m.inverse()
-                self.slots[k], self.inverses[k] = (m, mi) if a > 0 else (mi, m)
+                self._assign(k, *((m, mi) if a > 0 else (mi, m)))
                 return
             gi = self.inverses[k]
             c = g.rows[i][i + level]
@@ -251,7 +261,7 @@ class _Sifter:
                 else:
                     hi = m ** (-v) * _power(g, gi, -u)
                     h = hi.inverse()
-                self.slots[k], self.inverses[k] = h, hi
+                self._assign(k, h, hi)
                 self.queue.append(g)
                 g, gi, c = h, hi, d
             m = _power(g, gi, -(a // c)) * m
@@ -274,7 +284,14 @@ def standardize(sub):
     but a generous round cap guards against implementation bugs.  The
     conjugations read each slot's inverse from the sifter, which keeps
     it beside the slot; the returned sequence holds only the slots.
-    Raises GuardError, before building anything, when N(N-1)/2 exceeds
+
+    A pair (ka, kb) whose two conjugate sifts assigned no slot, with
+    slot ka as the conjugator, is skipped in later rounds while the
+    sifter's assignment count is unchanged: its conjugates and the
+    slots are then the same, so the sifts would be exact no-ops.  Every
+    sift that can change a slot still runs in the same order, so the
+    slots are those of the closure without the skip.  Raises
+    GuardError, before building anything, when N(N-1)/2 exceeds
     MAX_POSITIONS.
     """
     cap = _check_positions(sub.n) ** 2 + 4
@@ -283,18 +300,23 @@ def standardize(sub):
         sifter.sift(g)
     sifter.drain()
     # slots are only ever assigned, never removed
+    idle = {}  # (ka, kb) -> assignment count when its sifts last did nothing
     for _ in range(cap):
         snapshot = dict(sifter.slots)
         for ka in sorted(snapshot):
             a = sifter.slots[ka]
             ai = sifter.inverses[ka]
             for kb in sorted(snapshot):
-                if kb == ka:
+                count = sifter.assigned
+                if kb == ka or idle.get((ka, kb)) == count:
                     continue
                 sifter.sift(ai * sifter.slots[kb] * a)
                 sifter.drain()
                 sifter.sift(a * sifter.slots[kb] * ai)
                 sifter.drain()
+                # a is read once per ka, so it can be a replaced slot
+                if sifter.assigned == count and a is sifter.slots[ka]:
+                    idle[ka, kb] = count
         if sifter.slots == snapshot:
             break
     else:
@@ -497,7 +519,11 @@ class LieAlgebraSpan:
     Methods take nilpotent matrices or group elements, which stand for
     their logarithms.  Each generator is made integral (for a group
     element, its logarithm taken) once; generator_depths holds the depth
-    of each generator in the finished series, None for zero.
+    of each generator in the finished series, None for zero.  The
+    series depends only on the Lie algebra the generators generate, so
+    a subgroup's generators and its standardized slots give the same
+    depths; every layer is bracketed with W_1, so fewer generators cost
+    fewer brackets.
     """
 
     def __init__(self, n, generators):
@@ -568,6 +594,11 @@ def _slot_series(seq):
     return lie_span(seq.slots, seq.n)
 
 
+@lru_cache(maxsize=128)
+def _generator_series(sub):
+    return lie_span(sub.generators, sub.n)
+
+
 def subgroup_depth(h, sub):
     """Depth of h in the subgroup's isolated lower central series.
 
@@ -635,14 +666,24 @@ def distortion_degree(sub):
     recorded: its ambient depth m, and the smallest subgroup depth t
     among those slots.  The degree is the largest m/t; elements beyond
     the witness slot can only tie this ratio, never beat it, because
-    both depths are monotone along products within a stratum.  The
-    slots' subgroup depths are the generator depths of the slot series,
-    which takes each slot's logarithm once; every slot is a member, so
-    no membership check is made.
+    both depths are monotone along products within a stratum.
+
+    The slots' subgroup depths are read off the Lie series, taking each
+    slot's logarithm once; every slot is a member, so no membership
+    check is made.  The logarithms of any generating set generate the
+    same Lie algebra, with the same lower central series, so for a
+    SubgroupGens with fewer generators than slots the series is built
+    from the generators, which needs fewer brackets; otherwise, and for
+    a StandardizedSequence, the depths are the generator depths of the
+    slot series.
     """
     seq = _nontrivial_sequence(sub)
     levels = seq.levels
-    depths = _slot_series(seq).generator_depths
+    if isinstance(sub, SubgroupGens) and len(sub.generators) < len(seq):
+        span = _generator_series(sub)
+        depths = [span.depth(s) for s in seq.slots]
+    else:
+        depths = _slot_series(seq).generator_depths
     strata = []
     prev_size = 0
     for m in range(max(levels), 0, -1):

@@ -3,13 +3,15 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from nilmat import distortion
 from nilmat.cli import main
-from nilmat.distortion import SubgroupGens, subgroup_to_json
+from nilmat.distortion import SubgroupGens, distorted_subgroup, subgroup_to_json
 from nilmat.matgroup import elementary
 from nilmat.presentation import (
     NilpotentPresentation,
@@ -373,12 +375,54 @@ def test_orderings_nickel_modes(capsys):
 
 
 def test_out_file_keeps_stdout_clean(capsys, tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w", encoding="utf-8"):
+        pass
     path = tmp_path / "emb.json"
     rc, out, _ = run(capsys, "embed", "jennings", "ut:3",
                      "--out", str(path))
     assert rc == 0
     assert out == ""
     assert json.loads(path.read_text())["d"] == 7
+    # the mode open() gives, and no temporary file left beside it
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "emb.json", "plain.json"
+    ]
+
+
+def test_failed_out_write_leaves_the_target(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "emb.json"
+    path.write_text("earlier result\n")
+    before = sorted(tmp_path.iterdir())
+
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            super().write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    def fdopen(fd, *args, **kwargs):
+        os.close(fd)
+        return FullDisk()
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    rc, out, err = run(capsys, "embed", "jennings", "ut:3", "--out", str(path))
+    assert rc == 1 and out == ""
+    assert "No space left on device" in err
+    assert path.read_text() == "earlier result\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_runtime_error_exits_2_without_traceback(capsys, monkeypatch):
+    def unstable(sub):
+        raise RuntimeError("conjugation closure did not stabilize")
+
+    monkeypatch.setattr(distortion, "standardize", unstable)
+    blob = json.dumps(subgroup_to_json(distorted_subgroup(3, 2)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    rc, out, err = run(capsys, "distortion", "-")
+    assert rc == 2 and out == ""
+    assert err == "nilmat: error: conjugation closure did not stabilize\n"
 
 
 def test_output_is_reproducible(capsys):

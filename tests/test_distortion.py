@@ -355,12 +355,21 @@ def test_report_goldens():
     assert report_digest(constructed) == (
         "efb0b62e6261c99accf58fb6f03d006c0076e7adda47259483a6276c0fe859ae"
     )
-    disguised = [
+    conjugates = [
         conjugated(p, q, 100 * p + q)
         for p, q in ((4, 3), (5, 2), (7, 3), (8, 5), (9, 4), (11, 6))
     ]
-    assert report_digest(disguised) == (
+    assert report_digest(conjugates) == (
         "f00dfb405b861afe32ef662fb70d87a3a5c8931233757c52d6db3e0acd84d958"
+    )
+    # the benchmark's size range (q = 2..6, n up to 17), Nielsen-moved
+    # and conjugated; pinned while the Lie series was built from the slots
+    deep = [
+        disguised(p, q, 100 * p + q)
+        for p in range(13, 17) for q in (*range(2, 7), p)
+    ]
+    assert report_digest(deep) == (
+        "5210a39acb4002ff3de533bde012c28af38c52e83f3c5c48cc3305a2edc37a73"
     )
 
 
@@ -473,6 +482,122 @@ def test_degree_takes_each_slot_logarithm_once(monkeypatch):
     assert [subgroup_depth(s, seq) for s in seq.slots] == list(
         distortion._slot_series(seq).generator_depths
     )
+
+
+def reference_standardize(sub):
+    """standardize's closure without the skip of idle pairs: every pair
+    is sifted again in every round.  Returns (lead_pairs, slots,
+    coeffs)."""
+    sifter = distortion._Sifter(sub.n)
+    for g in sub.generators:
+        sifter.sift(g)
+    sifter.drain()
+    while True:
+        snapshot = dict(sifter.slots)
+        for ka in sorted(snapshot):
+            a, ai = sifter.slots[ka], sifter.inverses[ka]
+            for kb in sorted(snapshot):
+                if kb == ka:
+                    continue
+                sifter.sift(ai * sifter.slots[kb] * a)
+                sifter.drain()
+                sifter.sift(a * sifter.slots[kb] * ai)
+                sifter.drain()
+        if sifter.slots == snapshot:
+            break
+    leads = sorted(sifter.slots)
+    slots = [sifter.slots[k] for k in leads]
+    return (
+        tuple(leads), tuple(slots),
+        tuple(s.rows[i][i + l] for (l, i), s in zip(leads, slots)),
+    )
+
+
+def equivalence_inputs():
+    """distorted_subgroup(p, q) for p <= 16, then 200 seeded random
+    subgroups with n = 3..7, some with a duplicate or an identity
+    generator."""
+    subs = [
+        distorted_subgroup(p, q)
+        for p in range(2, 17) for q in range(2, p + 1)
+    ]
+    rng = random.Random(9)
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            g = identity(n)
+            for _ in range(rng.randint(1, 4)):
+                i = rng.randint(1, n - 1)
+                j = rng.randint(i + 1, n)
+                g = g * elementary(n, i, j, rng.choice((-2, -1, 1, 2, 3)))
+            gens.append(g)
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.3:
+            gens.insert(rng.randint(0, len(gens)), identity(n))
+        subs.append(SubgroupGens(n, gens))
+    return subs
+
+
+def test_engine_shortcuts_keep_slots_depths_and_reports():
+    # the closure's skip of idle pairs keeps every slot, and the series
+    # of the generators gives every slot the depth the slot series gives
+    routes = [0, 0]
+    for sub in equivalence_inputs():
+        seq = standardize(sub)
+        assert (seq.lead_pairs, seq.slots, seq.coeffs) == (
+            reference_standardize(sub)
+        ), sub
+        if not seq.slots:
+            continue
+        span = distortion._generator_series(sub)
+        assert [span.depth(s) for s in seq.slots] == list(
+            distortion._slot_series(seq).generator_depths
+        ), sub
+        # a sequence is always read through the slot series
+        assert report_to_json(distortion_degree(sub)) == report_to_json(
+            distortion_degree(seq)
+        ), sub
+        routes[len(sub.generators) < len(seq)] += 1
+    assert min(routes) >= 50
+
+
+def counting(monkeypatch, owner, name):
+    calls = [0]
+    orig = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_degree_brackets_the_generators(monkeypatch):
+    # 3 generators against 6 slots; a copy no other test builds
+    sub = disguised(16, 5, 165)
+    seq = standardize(sub)
+    brackets = counting(monkeypatch, RationalNilpotentMatrix, "bracket")
+    report = distortion_degree(sub)
+    from_gens = brackets[0]
+    slot_depths = distortion._slot_series.__wrapped__(seq).generator_depths
+    assert from_gens < brackets[0] - from_gens
+    assert report.degree == Fraction(16, 5)
+    assert [s.t for s in report.strata] == [
+        min(t for t, l in zip(slot_depths, seq.levels) if l >= s.m)
+        for s in report.strata
+    ]
+
+
+def test_closure_skips_idle_pairs(monkeypatch):
+    sub = disguised(16, 5, 165)
+    sifts = counting(monkeypatch, distortion._Sifter, "sift")
+    seq = standardize.__wrapped__(sub)
+    skipping = sifts[0]
+    assert (seq.lead_pairs, seq.slots, seq.coeffs) == reference_standardize(sub)
+    assert skipping < sifts[0] - skipping
 
 
 def test_lie_span_brackets_each_base_pair_once(monkeypatch):
