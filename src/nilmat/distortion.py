@@ -10,10 +10,11 @@ correspondence that position is the largest k with log h in L_k, the
 k-th lower central term of the rational Lie algebra L_1 generated by
 the logarithms of the subgroup's generators; LieAlgebraSpan holds the
 whole series L_1 >= L_2 >= ... in integer echelon form.  Any generating
-set gives the same series, so distortion_degree builds it from
-whichever of the input generators and the standardized slots is the
-shorter list.  The group-side series (lower_central_gens, commutators
-of the generators) serves only the independent oracle depth_by_powers.
+set gives the same series, so distortion_degree and subgroup_depth
+both build it, through one cache, from whichever of the input
+generators and the standardized slots is the shorter list.  The
+group-side series (lower_central_gens, commutators of the generators)
+serves only the independent oracle depth_by_powers.
 
 Everything is exact.  Searches that could blow up (brute-force word
 enumeration, metric balls) take explicit bounds and raise GuardError
@@ -518,19 +519,18 @@ class LieAlgebraSpan:
 
     Methods take nilpotent matrices or group elements, which stand for
     their logarithms.  Each generator is made integral (for a group
-    element, its logarithm taken) once; generator_depths holds the depth
-    of each generator in the finished series, None for zero.  The
-    series depends only on the Lie algebra the generators generate, so
-    a subgroup's generators and its standardized slots give the same
-    depths; every layer is bracketed with W_1, so fewer generators cost
-    fewer brackets.
+    element, its logarithm taken) once, and depth and contains reuse
+    its vector.  The series depends only on the Lie algebra the
+    generators generate, so a subgroup's generators and its
+    standardized slots give the same depths; every layer is bracketed
+    with W_1, so fewer generators cost fewer brackets.
     """
 
     def __init__(self, n, generators):
         self.n = n
         self._rows = {}  # pivot -> (primitive integer row, layer)
-        gens = [_integral(g) for g in generators]
-        base = _independent(gens)
+        integrals = {g: _integral(g) for g in generators}
+        base = _independent(integrals.values())
         layers = []
         layer = base
         while layer:
@@ -548,12 +548,13 @@ class LieAlgebraSpan:
         for k in range(len(layers), 0, -1):
             for mat in layers[k - 1]:
                 _insert(self._rows, mat.upper_vector(), k)
-        self.generator_depths = tuple(
-            _reduce(self._rows, g.upper_vector())[2] for g in gens
-        )
+        self._vectors = {g: m.upper_vector() for g, m in integrals.items()}
 
     def _expand(self, mat):
-        return _reduce(self._rows, _integral(mat).upper_vector())
+        vec = self._vectors.get(mat)
+        if vec is None:
+            vec = _integral(mat).upper_vector()
+        return _reduce(self._rows, vec)
 
     def contains(self, mat):
         """True when mat lies in L_1."""
@@ -590,13 +591,18 @@ def lie_span(mats, n=None):
 
 
 @lru_cache(maxsize=128)
-def _slot_series(seq):
-    return lie_span(seq.slots, seq.n)
+def _series(n, generators):
+    return lie_span(generators, n)
 
 
-@lru_cache(maxsize=128)
-def _generator_series(sub):
-    return lie_span(sub.generators, sub.n)
+def _lie_series(sub, seq):
+    """The subgroup's Lie series, from the input generators of a
+    SubgroupGens with fewer generators than slots, and from the slots
+    otherwise; keyed by the list, so subgroups that standardize to the
+    same slots share one series."""
+    if isinstance(sub, SubgroupGens) and len(sub.generators) < len(seq):
+        return _series(sub.n, sub.generators)
+    return _series(seq.n, seq.slots)
 
 
 def subgroup_depth(h, sub):
@@ -605,16 +611,17 @@ def subgroup_depth(h, sub):
     The largest k such that some positive power of h lies in the k-th
     lower central subgroup; by the Malcev correspondence, the largest k
     with log(h) in L_k, the k-th lower central term of the Lie algebra
-    generated by the logarithms of the slots.  That series is built
-    once per sequence.  depth_by_powers checks this on the group side.
-    Raises ValueError for the identity (unbounded) and for nonmembers.
+    generated by the logarithms of the slots, or of the input
+    generators when those are fewer (see distortion_degree).
+    depth_by_powers checks this on the group side.  Raises ValueError
+    for the identity (unbounded) and for nonmembers.
     """
     seq = _as_sequence(sub)
     if h.is_identity:
         raise ValueError("identity has unbounded depth")
     if member_certificate(h, seq) is None:
         raise ValueError("element is not a member of the subgroup")
-    return _slot_series(seq).depth(h)
+    return _lie_series(sub, seq).depth(h)
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
@@ -673,17 +680,14 @@ def distortion_degree(sub):
     check is made.  The logarithms of any generating set generate the
     same Lie algebra, with the same lower central series, so for a
     SubgroupGens with fewer generators than slots the series is built
-    from the generators, which needs fewer brackets; otherwise, and for
-    a StandardizedSequence, the depths are the generator depths of the
-    slot series.
+    from the generators, which needs fewer brackets, and otherwise, as
+    for a StandardizedSequence, from the slots, whose logarithms the
+    depths then reuse.
     """
     seq = _nontrivial_sequence(sub)
     levels = seq.levels
-    if isinstance(sub, SubgroupGens) and len(sub.generators) < len(seq):
-        span = _generator_series(sub)
-        depths = [span.depth(s) for s in seq.slots]
-    else:
-        depths = _slot_series(seq).generator_depths
+    span = _lie_series(sub, seq)
+    depths = [span.depth(s) for s in seq.slots]
     strata = []
     prev_size = 0
     for m in range(max(levels), 0, -1):

@@ -16,7 +16,12 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .distortion import SubgroupGens, distortion_degree
+from .distortion import (
+    MAX_POSITIONS,
+    GuardError,
+    SubgroupGens,
+    distortion_degree,
+)
 from .matgroup import (
     RationalSquareMatrix,
     UnitriangularMatrix,
@@ -25,7 +30,7 @@ from .matgroup import (
     level_weight,
     matrix_to_json,
 )
-from .presentation import relation_failures
+from .presentation import _lower_set, relation_failures
 
 __all__ = [
     "JenningsBasis",
@@ -37,6 +42,10 @@ __all__ = [
 ]
 
 ORDERS = ("weight-lex", "scheme-perturbed")
+
+# the largest matrix size N with N(N-1)/2 <= MAX_POSITIONS, so that
+# standardize admits every image that gets built (N = 724)
+MAX_MONOMIALS = (1 + math.isqrt(1 + 8 * MAX_POSITIONS)) // 2
 
 
 class JenningsBasis:
@@ -55,6 +64,10 @@ class JenningsBasis:
       positions.
     * an explicit permutation: a sequence of integers reordering the
       weight-lex basis.
+
+    The monomials are listed lazily, and a basis past MAX_MONOMIALS
+    raises GuardError once the cap is passed, before the rest is
+    enumerated.
     """
 
     def __init__(self, presentation, order="weight-lex", truncation=None):
@@ -73,14 +86,16 @@ class JenningsBasis:
         cutoff = truncation - 1
         self.cutoff = cutoff
 
-        items = [((), 0)]
-        for w in presentation.weights:
-            items = [
-                (m + (e,), mu + e * w)
-                for (m, mu) in items
-                for e in range((cutoff - mu) // w + 1)
-            ]
-        mu_of = dict(items)
+        weights = presentation.weights
+        mu_of = {}
+        for m in _lower_set(weights, cutoff):
+            if len(mu_of) == MAX_MONOMIALS:
+                raise GuardError(
+                    f"the Jennings basis at truncation {truncation} has "
+                    f"more than {MAX_MONOMIALS} monomials; the cap is "
+                    f"{MAX_MONOMIALS}"
+                )
+            mu_of[m] = sum(e * w for e, w in zip(m, weights))
 
         def weight_lex(m):
             return (mu_of[m], tuple(-x for x in m))

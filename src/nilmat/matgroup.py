@@ -452,35 +452,22 @@ def _log_numerator(m):
     with int entries and den a positive int, found without forming a
     Fraction."""
     n = m.n
-    nil = [
-        [m.rows[i][j] if j > i else 0 for j in range(n)] for i in range(n)
-    ]
+    nil = _wrap(n, tuple(
+        (0,) * (i + 1) + row[i + 1:] for i, row in enumerate(m.rows)
+    ), RationalNilpotentMatrix)
     # Accumulate powers of N with integer arithmetic.  num/den hold the
     # running sum of (-1)^(k+1) N^k / k over a common denominator.
     den = 1
     num = [[0] * n for _ in range(n)]
     term = nil
     k = 1
-    while any(e for row in term for e in row):
+    while not term.is_zero:
         sign = 1 if k % 2 else -1
-        for i in range(n):
-            ti = term[i]
-            ni = num[i]
+        for i, (ti, ni) in enumerate(zip(term.rows, num)):
             for j in range(i + 1, n):
                 ni[j] = ni[j] * k + sign * den * ti[j]
         den *= k
-        nxt = [[0] * n for _ in range(n)]
-        for i in range(n):
-            ti = term[i]
-            for p in range(i + 1, n):
-                c = ti[p]
-                if c:
-                    np_ = nil[p]
-                    xi = nxt[i]
-                    for j in range(p + 1, n):
-                        if np_[j]:
-                            xi[j] += c * np_[j]
-        term = nxt
+        term = term * nil
         k += 1
     return _wrap(n, tuple(map(tuple, num)), RationalNilpotentMatrix), den
 

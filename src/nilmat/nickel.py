@@ -37,6 +37,7 @@ from .matgroup import (
     UnitriangularMatrix,
     level_weight,
 )
+from .presentation import _lower_set
 
 __all__ = [
     "CoordinatePolynomial",
@@ -141,18 +142,6 @@ class CoordinatePolynomial:
                 "*".join([str(c)] + factors) if factors else str(c)
             )
         return f"CoordinatePolynomial({' + '.join(bits)})"
-
-
-def _lower_set(weights, top):
-    """Exponent tuples m with sum(m_k * weights[k]) <= top, in lex
-    order."""
-    if not weights:
-        yield ()
-        return
-    w, rest = weights[0], weights[1:]
-    for e in range(top // w + 1):
-        for tail in _lower_set(rest, top - e * w):
-            yield (e,) + tail
 
 
 def _binomial_rows(n):

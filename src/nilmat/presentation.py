@@ -233,6 +233,19 @@ def evaluate_coords(coords, images, one):
     return one if out is None else out
 
 
+def _lower_set(weights, top):
+    """Exponent tuples m with sum(m_k * weights[k]) <= top, in lex
+    order, listed lazily, so a caller can stop at a size cap before an
+    enormous set is enumerated."""
+    if not weights:
+        yield ()
+        return
+    w, rest = weights[0], weights[1:]
+    for e in range(top // w + 1):
+        for tail in _lower_set(rest, top - e * w):
+            yield (e,) + tail
+
+
 def relation_failures(p, images):
     """Check that the generator images images[k-1] of x_k respect the
     presentation.

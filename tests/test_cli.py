@@ -341,6 +341,15 @@ def test_guard_exit_3(capsys, monkeypatch):
     assert "capped at 10" in err
 
 
+def test_jennings_basis_cap_exit_3(capsys):
+    rc, out, err = run(
+        capsys, "embed", "jennings", "ut:3", "--truncation", "1000000000"
+    )
+    assert rc == 3
+    assert out == ""
+    assert "the cap is 724" in err
+
+
 def test_orderings_jennings_survey(capsys):
     rc, out, _ = run(capsys, "orderings", "jennings", "ut:3")
     assert rc == 0

@@ -479,9 +479,10 @@ def test_degree_takes_each_slot_logarithm_once(monkeypatch):
     report = distortion_degree(seq)
     assert calls == len(seq)
     assert report.degree == Fraction(8, 3)
-    assert [subgroup_depth(s, seq) for s in seq.slots] == list(
-        distortion._slot_series(seq).generator_depths
-    )
+    span = lie_span(seq.slots, seq.n)
+    assert [subgroup_depth(s, seq) for s in seq.slots] == [
+        span.depth(s) for s in seq.slots
+    ]
 
 
 def reference_standardize(sub):
@@ -551,10 +552,12 @@ def test_engine_shortcuts_keep_slots_depths_and_reports():
         ), sub
         if not seq.slots:
             continue
-        span = distortion._generator_series(sub)
-        assert [span.depth(s) for s in seq.slots] == list(
-            distortion._slot_series(seq).generator_depths
-        ), sub
+        # subgroup_depth on a sequence reads the slot series, as the
+        # sequence's report does
+        span = lie_span(sub.generators, sub.n)
+        assert [span.depth(s) for s in seq.slots] == [
+            subgroup_depth(s, seq) for s in seq.slots
+        ], sub
         # a sequence is always read through the slot series
         assert report_to_json(distortion_degree(sub)) == report_to_json(
             distortion_degree(seq)
@@ -582,13 +585,32 @@ def test_degree_brackets_the_generators(monkeypatch):
     brackets = counting(monkeypatch, RationalNilpotentMatrix, "bracket")
     report = distortion_degree(sub)
     from_gens = brackets[0]
-    slot_depths = distortion._slot_series.__wrapped__(seq).generator_depths
+    slot_span = lie_span(seq.slots, seq.n)
+    slot_depths = [slot_span.depth(s) for s in seq.slots]
     assert from_gens < brackets[0] - from_gens
     assert report.degree == Fraction(16, 5)
     assert [s.t for s in report.strata] == [
         min(t for t, l in zip(slot_depths, seq.levels) if l >= s.m)
         for s in report.strata
     ]
+
+
+def test_subgroup_depth_brackets_the_generators(monkeypatch):
+    # 3 generators against 17 slots; a copy no other test builds, so a
+    # cold subgroup_depth builds the series, and it builds it from the
+    # generators, as distortion_degree does
+    sub = disguised(16, 16, 1616)
+    seq = standardize(sub)
+    assert len(sub.generators) < len(seq)
+    brackets = counting(monkeypatch, RationalNilpotentMatrix, "bracket")
+    depth = subgroup_depth(seq.slots[0], sub)
+    by_depth = brackets[0]
+    # a fresh copy: no series is cached
+    distortion._series.cache_clear()
+    report = distortion_degree(sub)
+    assert 0 < by_depth <= brackets[0] - by_depth
+    assert depth == report.strata[-1].t == 1
+    assert report.degree == Fraction(16, 16)
 
 
 def test_closure_skips_idle_pairs(monkeypatch):
@@ -612,9 +634,10 @@ def test_lie_span_brackets_each_base_pair_once(monkeypatch):
         return orig(self, other)
 
     monkeypatch.setattr(RationalNilpotentMatrix, "bracket", counted)
-    span = lie_span([elementary(4, i, i + 1) for i in (1, 2, 3)])
+    gens = [elementary(4, i, i + 1) for i in (1, 2, 3)]
+    span = lie_span(gens)
     assert calls[0] == 3 + 6 + 3
-    assert span.generator_depths == (1, 1, 1)
+    assert [span.depth(g) for g in gens] == [1, 1, 1]
     assert span.dimension == 6
     assert span.depth(elementary(4, 1, 4)) == 3
 

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from nilmat import distortion, jennings
+from nilmat.distortion import GuardError
 from nilmat.jennings import (
     JenningsBasis,
     embedding_to_json,
@@ -180,6 +182,34 @@ def test_bad_arguments():
         JenningsBasis(builtin("freenil23"), order="scheme-perturbed")
     with pytest.raises(ValueError):
         JenningsBasis(builtin("ut:3"), order=(0, 1, 2))
+
+
+def test_basis_size_cap(monkeypatch):
+    # the cap is the largest matrix size standardize admits
+    cap = jennings.MAX_MONOMIALS
+    assert cap == 724
+    distortion._check_positions(cap)
+    with pytest.raises(GuardError):
+        distortion._check_positions(cap + 1)
+    listed = [0]
+    lower_set = jennings._lower_set
+
+    def counted(weights, top):
+        for m in lower_set(weights, top):
+            listed[0] += 1
+            yield m
+
+    monkeypatch.setattr(jennings, "_lower_set", counted)
+    # ut:7 has 3029 monomials; truncation 10^9 would list 10^9 tuples
+    # of weight 0 to 1 alone
+    for name, truncation in (("ut:7", None), ("ut:3", 10**9)):
+        listed[0] = 0
+        with pytest.raises(GuardError) as info:
+            JenningsBasis(builtin(name), truncation=truncation)
+        assert f"more than {cap} monomials; the cap is {cap}" in str(
+            info.value
+        )
+        assert listed[0] == cap + 1
 
 
 def test_embedding_json_shape():

@@ -1,8 +1,8 @@
 """Property tests on drawn inputs, each against an oracle that does not
 share the code path it checks: the level-major lead scan against a
 brute-force minimum, collection against matrix products, presentation
-JSON against itself, and membership certificates against the product
-they certify."""
+JSON against itself, membership certificates against the product
+they certify, and subgroup depth against the series of the slots."""
 
 import json
 from itertools import product
@@ -10,13 +10,15 @@ from itertools import product
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nilmat.distortion import (  # noqa: E402
     SubgroupGens,
+    lie_span,
     member_certificate,
     standardize,
+    subgroup_depth,
 )
 from nilmat.matgroup import (  # noqa: E402
     UnitriangularMatrix,
@@ -134,9 +136,8 @@ def test_presentation_json_round_trips(p):
 
 
 @st.composite
-def subgroup_words(draw, n=4):
-    """A subgroup of UT_n(Z) on two or three drawn generators, and a
-    word in them."""
+def subgroups(draw, n):
+    """A subgroup of UT_n(Z) on two or three drawn generators."""
     gens = []
     for _ in range(draw(st.integers(2, 3))):
         g = identity(n)
@@ -145,14 +146,25 @@ def subgroup_words(draw, n=4):
             j = draw(st.integers(i + 1, n))
             g = g * elementary(n, i, j, draw(st.sampled_from((-2, -1, 1, 2))))
         gens.append(g)
-    word = draw(st.lists(
+    return SubgroupGens(n, gens)
+
+
+def word(draw, gens, max_size=5):
+    """The product of a drawn word in the generators."""
+    h = identity(gens[0].n)
+    for k, e in draw(st.lists(
         st.tuples(st.integers(0, len(gens) - 1), st.integers(-3, 3)),
-        max_size=5,
-    ))
-    h = identity(n)
-    for k, e in word:
+        max_size=max_size,
+    )):
         h = h * gens[k] ** e
-    return SubgroupGens(n, gens), h
+    return h
+
+
+@st.composite
+def subgroup_words(draw, n=4):
+    """A subgroup of UT_n(Z) and a word in its generators."""
+    sub = draw(subgroups(n))
+    return sub, word(draw, sub.generators)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -167,3 +179,15 @@ def test_member_certificate_reproduces_the_element(case):
     for slot, e in zip(seq.slots, exps):
         out = out * slot ** e
     assert out == h
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 6).flatmap(subgroups), st.data())
+def test_subgroup_depth_matches_the_slot_series(sub, data):
+    # subgroup_depth reads the series of whichever of the generators and
+    # the slots is the shorter list; a member's depth is the same in both
+    seq = standardize(sub)
+    assume(seq.slots)
+    h = word(data.draw, seq.slots, max_size=4)
+    assume(not h.is_identity)
+    assert subgroup_depth(h, sub) == lie_span(seq.slots, seq.n).depth(h)
