@@ -31,12 +31,12 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from .matgroup import (
-    RationalNilpotentMatrix,
     UnitriangularMatrix,
+    _add_into,
     _entry_from_json,
     _lead,
     _log_numerator,
-    _wrap,
+    _nilpotent,
     binary_power,
     commutator,
     elementary,
@@ -448,40 +448,41 @@ def lower_central_gens(sub, k):
     return SubgroupGens(seq.n, gens)
 
 
-def _integral(m):
-    """The positive multiple of m with coprime integer entries; for a
-    group element, the multiple of its logarithm."""
+def _primitive(m):
+    """(x, vec): x is the positive multiple of m (for a group element,
+    of its logarithm) with coprime integer entries, vec its entries
+    keyed by their level-major (level, row), the order of _lead."""
     if isinstance(m, UnitriangularMatrix):
         m = _log_numerator(m)[0]
-    rows = m.rows
-    if not all(type(e) is int for row in rows for e in row):
-        d = lcm(*(e.denominator for row in rows for e in row))
-        rows = [[int(e * d) for e in row] for row in rows]
-    g = gcd(*(e for row in rows for e in row)) or 1
-    rows = tuple(tuple(e // g for e in row) for row in rows)
-    return _wrap(m.n, rows, RationalNilpotentMatrix)
+    values = [e for r in m.entries for e in r.values()]
+    d = lcm(*(e.denominator for e in values))
+    g = gcd(*(int(e * d) for e in values))
+    x = _nilpotent(m.n, [
+        {j: int(e * d) // g for j, e in r.items()} for r in m.entries
+    ])
+    return x, {
+        (j - i, i): e for i, r in enumerate(x.entries) for j, e in r.items()
+    }
 
 
 def _reduce(rows, vec):
-    """Reduce the integer vector vec by echelon rows, a dict from pivot
-    to (row, tag), while its leading entry sits on a pivot.
+    """Reduce the sparse integer vector vec by echelon rows, a dict from
+    pivot to (row, tag), while its leading (least) key is a pivot.
 
-    Returns the remainder's leading index (None when vec lies in the
-    span of the rows), the remainder, and the smallest tag among the
-    rows used.  The rows used are exactly those with a nonzero
-    coefficient when vec is written in the row basis.
+    Returns the remainder's lead (None when vec lies in the span of the
+    rows), the remainder, and the smallest tag among the rows used.
+    The rows used are exactly those with a nonzero coefficient when vec
+    is written in the row basis.
     """
-    vec = list(vec)
     low = None
-    for lead, e in enumerate(vec):
-        if not e:
-            continue
+    while vec:
+        lead = min(vec)
         if lead not in rows:
             return lead, vec, low
         row, tag = rows[lead]
-        g = gcd(row[lead], e)
-        a, c = row[lead] // g, e // g
-        vec[lead:] = [a * x - c * y for x, y in zip(vec[lead:], row[lead:])]
+        g = gcd(row[lead], vec[lead])
+        a, c = row[lead] // g, vec[lead] // g
+        vec = _add_into({k: a * e for k, e in vec.items()}, -c, row)
         low = tag if low is None else min(low, tag)
     return None, vec, low
 
@@ -491,15 +492,15 @@ def _insert(rows, vec, tag):
     True when it was added."""
     lead, vec, _ = _reduce(rows, vec)
     if lead is not None:
-        g = gcd(*vec)
-        rows[lead] = (tuple(e // g for e in vec), tag)
+        g = gcd(*vec.values())
+        rows[lead] = ({k: e // g for k, e in vec.items()}, tag)
     return lead is not None
 
 
-def _independent(mats):
-    """A maximal linearly independent subset of the integer matrices."""
+def _independent(pairs):
+    """The (x, vec) pairs whose vec is independent of those before."""
     rows = {}
-    return [m for m in mats if _insert(rows, m.upper_vector(), 0)]
+    return [p for p in pairs if _insert(rows, p[1], 0)]
 
 
 class LieAlgebraSpan:
@@ -512,25 +513,26 @@ class LieAlgebraSpan:
     W_{k+1} a basis of the brackets [b, g] with b in W_k and g in W_1,
     so L_k = span(W_k, W_{k+1}, ...); the brackets vanish past the
     matrix size.  The series is one echelon basis of primitive integer
-    vectors over the strictly-upper entries, inserted deepest layer
-    first, each row tagged with the layer it entered at: the rows
-    tagged >= k span L_k.  Scaling a vector does not change a
-    rational span, so no Fraction is formed.
+    vectors, sparse and keyed by level-major (level, row), inserted
+    deepest layer first, each row tagged with the layer it entered at:
+    the rows tagged >= k span L_k, in any coordinate order.  Scaling a
+    vector does not change a rational span, so no Fraction is formed.
 
     Methods take nilpotent matrices or group elements, which stand for
-    their logarithms.  Each generator is made integral (for a group
-    element, its logarithm taken) once, and depth and contains reuse
-    its vector.  The series depends only on the Lie algebra the
-    generators generate, so a subgroup's generators and its
-    standardized slots give the same depths; every layer is bracketed
-    with W_1, so fewer generators cost fewer brackets.
+    their logarithms.  Each generator and each bracket is made a
+    primitive integer matrix and vector once (see _primitive), and
+    depth and contains reuse a generator's vector.  The series depends
+    only on the Lie algebra the generators generate, so a subgroup's
+    generators and its standardized slots give the same depths; every
+    layer is bracketed with W_1, so fewer generators cost fewer
+    brackets.
     """
 
     def __init__(self, n, generators):
         self.n = n
         self._rows = {}  # pivot -> (primitive integer row, layer)
-        integrals = {g: _integral(g) for g in generators}
-        base = _independent(integrals.values())
+        self._primitives = {g: _primitive(g) for g in generators}
+        base = _independent(self._primitives.values())
         layers = []
         layer = base
         while layer:
@@ -541,19 +543,15 @@ class LieAlgebraSpan:
                 combinations(base, 2) if len(layers) == 1
                 else product(layer, base)
             )
-            layer = [
-                _integral(m) for m in
-                _independent(b.bracket(g) for b, g in pairs)
-            ]
+            layer = _independent(
+                _primitive(b.bracket(g)) for (b, _), (g, _) in pairs
+            )
         for k in range(len(layers), 0, -1):
-            for mat in layers[k - 1]:
-                _insert(self._rows, mat.upper_vector(), k)
-        self._vectors = {g: m.upper_vector() for g, m in integrals.items()}
+            for _, vec in layers[k - 1]:
+                _insert(self._rows, vec, k)
 
     def _expand(self, mat):
-        vec = self._vectors.get(mat)
-        if vec is None:
-            vec = _integral(mat).upper_vector()
+        vec = (self._primitives.get(mat) or _primitive(mat))[1]
         return _reduce(self._rows, vec)
 
     def contains(self, mat):
@@ -752,7 +750,7 @@ def brute_force_degree(sub, len_bound=3):
     len_bound, hence the guard.
     """
     if len_bound > 6:
-        raise GuardError("brute-force word length bound is capped at 6")
+        raise GuardError(f"brute-force length {len_bound} asked; capped at 6")
     seq = _nontrivial_sequence(sub)
     return max((
         Fraction(level_weight(h), subgroup_depth(h, seq))
@@ -799,12 +797,12 @@ def ball(n, radius, generators=None):
     """
     if generators is None:
         if n > 4:
-            raise GuardError("full-group balls are capped at n = 4")
+            raise GuardError(f"full-group ball n = {n} asked; capped at n = 4")
         gens = [elementary(n, i, i + 1) for i in range(1, n)]
     else:
         gens = list(generators)
     if radius > 10:
-        raise GuardError("ball radius is capped at 10")
+        raise GuardError(f"ball radius {radius} asked; capped at 10")
     return _bfs(n, gens, radius)
 
 

@@ -181,14 +181,13 @@ def binary_power(x, e, one, mul=operator.mul, inverse=None):
     return one if result is None else result
 
 
-def _wrap(n, rows, cls=UnitriangularMatrix, nz=None):
-    """Build a matrix from known-good rows, skipping validation; nz is a
-    unitriangular matrix's nonzero index when already known."""
-    m = object.__new__(cls)
+def _wrap(n, rows, nz=None):
+    """Build a unitriangular matrix from known-good rows, skipping
+    validation; nz is its nonzero index when already known."""
+    m = object.__new__(UnitriangularMatrix)
     object.__setattr__(m, "n", n)
     object.__setattr__(m, "rows", rows)
-    if cls is UnitriangularMatrix:
-        object.__setattr__(m, "_nz", nz)
+    object.__setattr__(m, "_nz", nz)
     return m
 
 
@@ -355,9 +354,13 @@ class RationalNilpotentMatrix:
     Fractions (see _exact); int entries stay ints through every
     operation, so an integer-scaled matrix brackets without forming a
     Fraction.
+
+    Only nonzero entries are kept: ``entries`` holds, per row, a dict
+    from 0-based column to value, never mutated.  Every operation walks
+    only these; the dense ``rows`` are built on demand.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "entries")
 
     def __init__(self, rows):
         rows = tuple(tuple(map(_exact, row)) for row in rows)
@@ -365,77 +368,95 @@ class RationalNilpotentMatrix:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("matrix is not square")
-            for j in range(i + 1):
-                if row[j] != 0:
-                    raise ValueError("entry on or below the diagonal")
+            if any(row[:i + 1]):
+                raise ValueError("entry on or below the diagonal")
+        entries = tuple({j: e for j, e in enumerate(r) if e} for r in rows)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalNilpotentMatrix is immutable")
 
+    @property
+    def rows(self):
+        """The dense rows, as tuples."""
+        cols = range(self.n)
+        return tuple(tuple(r.get(j, 0) for j in cols) for r in self.entries)
+
     def __eq__(self, other):
         return (
             isinstance(other, RationalNilpotentMatrix)
-            and self.rows == other.rows
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(tuple(frozenset(r.items()) for r in self.entries))
 
     def __add__(self, other):
-        return _wrap(self.n, tuple(
-            tuple(map(operator.add, ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ), RationalNilpotentMatrix)
+        return _nilpotent(self.n, [
+            _add_into(dict(ra), 1, rb)
+            for ra, rb in zip(self.entries, other.entries)
+        ])
 
     def __sub__(self, other):
-        return _wrap(self.n, tuple(
-            tuple(map(operator.sub, ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ), RationalNilpotentMatrix)
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = _exact(c)
-        return _wrap(self.n, tuple(
-            tuple(c * a for a in row) for row in self.rows
-        ), RationalNilpotentMatrix)
+        return _nilpotent(self.n, [
+            {j: c * e for j, e in r.items() if c} for r in self.entries
+        ])
 
     def __mul__(self, other):
         if not isinstance(other, RationalNilpotentMatrix):
             return NotImplemented
-        n = self.n
-        a = self.rows
-        b = other.rows
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            ai = a[i]
-            for k in range(i + 1, n):
-                c = ai[k]
-                if c:
-                    bk = b[k]
-                    oi = out[i]
-                    for j in range(k + 1, n):
-                        if bk[j]:
-                            oi[j] += c * bk[j]
-        return _wrap(n, tuple(map(tuple, out)), RationalNilpotentMatrix)
+        return _products(self.n, ((1, self, other),))
 
     def bracket(self, other):
-        """Lie bracket self*other - other*self."""
-        return self * other - other * self
+        """Lie bracket self*other - other*self, in one pass."""
+        return _products(self.n, ((1, self, other), (-1, other, self)))
 
     @property
     def is_zero(self):
-        return all(not e for row in self.rows for e in row)
+        return not any(self.entries)
 
     def upper_vector(self):
-        """Strictly-upper entries flattened row-major, for span work."""
+        """Strictly-upper entries flattened row-major."""
         return tuple(
             e for i, row in enumerate(self.rows) for e in row[i + 1:]
         )
 
     def __repr__(self):
         return f"RationalNilpotentMatrix({list(map(list, self.rows))!r})"
+
+
+def _nilpotent(n, entries):
+    """A RationalNilpotentMatrix from known-good sparse entries."""
+    m = object.__new__(RationalNilpotentMatrix)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "entries", tuple(entries))
+    return m
+
+
+def _add_into(acc, c, row):
+    """acc += c * row for sparse rows and c != 0, dropping zeros."""
+    for j, e in row.items():
+        s = acc.get(j, 0) + c * e
+        if s:
+            acc[j] = s
+        else:
+            del acc[j]
+    return acc
+
+
+def _products(n, terms):
+    """The sum of sign * x * y over the (sign, x, y) in terms."""
+    out = [{} for _ in range(n)]
+    for sign, x, y in terms:
+        for acc, xi in zip(out, x.entries):
+            for k, c in xi.items():
+                _add_into(acc, sign * c, y.entries[k])
+    return _nilpotent(n, out)
 
 
 def log_unipotent(m):
@@ -451,25 +472,18 @@ def _log_numerator(m):
     """(num, den) with log(m) == num / den: num is a nilpotent matrix
     with int entries and den a positive int, found without forming a
     Fraction."""
-    n = m.n
-    nil = _wrap(n, tuple(
-        (0,) * (i + 1) + row[i + 1:] for i, row in enumerate(m.rows)
-    ), RationalNilpotentMatrix)
-    # Accumulate powers of N with integer arithmetic.  num/den hold the
-    # running sum of (-1)^(k+1) N^k / k over a common denominator.
-    den = 1
-    num = [[0] * n for _ in range(n)]
-    term = nil
-    k = 1
+    nil = _nilpotent(m.n, [
+        {j: row[j] for j in ks} for row, ks in zip(m.rows, m.nonzeros())
+    ])
+    # num/den is the sum of (-1)^(i+1) N^i / i over i < k, and term N^k
+    num, den = nil, 1
+    term, k = nil * nil, 2
     while not term.is_zero:
-        sign = 1 if k % 2 else -1
-        for i, (ti, ni) in enumerate(zip(term.rows, num)):
-            for j in range(i + 1, n):
-                ni[j] = ni[j] * k + sign * den * ti[j]
+        num = num.scale(k) + term.scale(den if k % 2 else -den)
         den *= k
         term = term * nil
         k += 1
-    return _wrap(n, tuple(map(tuple, num)), RationalNilpotentMatrix), den
+    return num, den
 
 
 def exp_nilpotent(x):
@@ -478,31 +492,18 @@ def exp_nilpotent(x):
     Finite series; raises ValueError if the result is not integral,
     since the group side of this package is over the integers.
     """
-    n = x.n
-    acc = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    term = x
+    total = term = x
     k = 1
-    fact = 1
     while not term.is_zero:
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc[i][j] += Fraction(term.rows[i][j], fact)
-        term = term * x
         k += 1
-        fact *= k
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = acc[i][j]
-            if e.denominator != 1:
-                raise ValueError("exponential is not an integer matrix")
-            row.append(int(e))
-        rows.append(tuple(row))
-    return UnitriangularMatrix(tuple(rows))
+        term = (term * x).scale(Fraction(1, k))
+        total = total + term
+    if any(e.denominator != 1 for r in total.entries for e in r.values()):
+        raise ValueError("exponential is not an integer matrix")
+    return UnitriangularMatrix([
+        [int(e) + (i == j) for j, e in enumerate(row)]
+        for i, row in enumerate(total.rows)
+    ])
 
 
 class RationalSquareMatrix:

@@ -429,7 +429,8 @@ def ordering_search(module, mode="exhaustive"):
     dim = module.dimension
     if mode == "exhaustive" and dim > 8:
         raise GuardError(
-            "exhaustive ordering search is capped at module dimension 8"
+            "exhaustive ordering search is capped at module dimension 8; "
+            f"this module has dimension {dim}"
         )
     labels = module.labels
     base = [module.matrices[k] for k in range(1, module.presentation.M + 1)]

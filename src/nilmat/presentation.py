@@ -15,6 +15,9 @@ work.
 
 from __future__ import annotations
 
+from math import comb
+
+from .distortion import GuardError
 from .matgroup import (
     PositionBasis,
     _entry_from_json,
@@ -277,6 +280,23 @@ def relation_failures(p, images):
     return bad
 
 
+# builtin ut:m stores C(m, 3) relation words and heisenberg:n stores n,
+# each with one entry per generator; the cap admits ut:15 and
+# heisenberg:180, well past the largest group either embedding handles
+MAX_RELATION_ENTRIES = 1 << 16
+
+
+def _check_relation_entries(name, words, M):
+    """GuardError when words relation words of M entries exceed
+    MAX_RELATION_ENTRIES in all."""
+    entries = words * M
+    if entries > MAX_RELATION_ENTRIES:
+        raise GuardError(
+            f"builtin {name} would store {words} relation words of {M} "
+            f"entries, {entries} in all; the cap is {MAX_RELATION_ENTRIES}"
+        )
+
+
 def builtin(name):
     """Stock presentations.
 
@@ -287,6 +307,9 @@ def builtin(name):
       realized inside the (n+2) x (n+2) unitriangular group.
     * ``freenil23``: rank-2 class-3 free nilpotent group on the Hall
       basis y1, y2, y3 = [y1, y2], y4 = [y1, y3], y5 = [y2, y3].
+
+    Raises GuardError, before building any matrix, when the relation
+    words would hold more than MAX_RELATION_ENTRIES entries in all.
     """
     parts = name.split(":")
     kind = parts[0]
@@ -296,6 +319,7 @@ def builtin(name):
         m = _positive_int(parts[1], name)
         if m < 2:
             raise ValueError("ut:m needs m >= 2")
+        _check_relation_entries(name, comb(m, 3), m * (m - 1) // 2)
         flavor = parts[2] if len(parts) == 3 else "lcs-standard"
         basis = PositionBasis(m, flavor)
         gens = [elementary(m, i, j) for i, j in basis.positions]
@@ -315,6 +339,7 @@ def builtin(name):
             raise ValueError(f"bad builtin name {name!r}")
         n = _positive_int(parts[1], name)
         M = 2 * n + 1
+        _check_relation_entries(name, n, M)
         pos = [(1, i + 1) for i in range(1, n + 1)]
         pos += [(i + 1, n + 2) for i in range(1, n + 1)]
         pos.append((1, n + 2))

@@ -194,6 +194,7 @@ def test_orderings_nickel_report_first_has_no_size_cap(capsys):
                        "--exhaustive")
     assert rc == 3 and out == ""
     assert "dimension 8" in err
+    assert "this module has dimension 11" in err
 
 
 @pytest.mark.parametrize("entry", ["2.7", "true", "Infinity"])
@@ -339,6 +340,13 @@ def test_guard_exit_3(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert "capped at 10" in err
+    assert "radius 11 asked" in err
+    # refused by the relation-entry estimate, before any matrix is built
+    for argv in (("embed", "jennings", "ut:100"),
+                 ("orderings", "nickel", "heisenberg:2000")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3 and out == ""
+        assert "in all; the cap is 65536" in err
 
 
 def test_jennings_basis_cap_exit_3(capsys):

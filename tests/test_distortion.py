@@ -238,6 +238,11 @@ def test_group_ring_image_degrees():
         ("heisenberg:2", "weight-lex", Fraction(15, 2), None),
         ("freenil23", "weight-lex", Fraction(14, 3),
          [(14, 3), (13, 3), (6, 2), (2, 1), (1, 1)]),
+        ("ut:5", "weight-lex", Fraction(131, 4),
+         [(131, 4), (51, 3), (50, 3), (17, 2), (16, 2), (15, 2), (4, 1),
+          (3, 1), (2, 1), (1, 1)]),
+        ("heisenberg:3", "weight-lex", Fraction(14),
+         [(28, 2), (6, 1), (5, 1), (4, 1), (3, 1), (2, 1), (1, 1)]),
     ]
     for name, order, degree, strata in cases:
         res = jennings_embedding(builtin(name), order=order)
@@ -265,11 +270,11 @@ def test_parameter_validation_and_guards():
             distorted_subgroup(p, q)
     with pytest.raises(ValueError):
         distorted_subgroup("3", 2)
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="length 7 asked; capped at 6"):
         brute_force_degree(full_ut3(), 7)
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="n = 5 asked; capped at n = 4"):
         ball(5, 1)
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="radius 11 asked; capped at 10"):
         ball(3, 11)
     assert len(ball(5, 1, generators=[elementary(5, 1, 2)])) == 3
     trivial = SubgroupGens(3, [])

@@ -338,8 +338,9 @@ def test_search_mode_and_dimension_guard():
         builtin("ut:3"), [None] * 9,
         [f"b{k}" for k in range(9)], {},
     )
-    with pytest.raises(GuardError, match="dimension 8"):
+    with pytest.raises(GuardError, match="dimension 8") as info:
         ordering_search(big)
+    assert "this module has dimension 9" in str(info.value)
 
 
 SMALL_MODULE_GROUPS = (

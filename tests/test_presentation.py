@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import pytest
 
+from nilmat import presentation
+from nilmat.distortion import GuardError
 from nilmat.jennings import jennings_embedding
 from nilmat.matgroup import UnitriangularMatrix, identity
 from nilmat.presentation import (
@@ -270,6 +272,33 @@ def test_builtin_rejects_bad_selectors():
             builtin(bad)
     # the degenerate 2 x 2 case is allowed and is just the integers
     assert builtin("ut:2").M == 1
+
+
+def test_builtin_size_cap(monkeypatch):
+    cap = presentation.MAX_RELATION_ENTRIES
+    # the largest admitted sizes are checked, not built
+    presentation._check_relation_entries("ut:15", 455, 105)
+    presentation._check_relation_entries("heisenberg:180", 180, 361)
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(presentation, "elementary", no_matrix)
+    monkeypatch.setattr(presentation, "PositionBasis", no_matrix)
+    # ut:m stores C(m, 3) words of m(m-1)/2 entries, heisenberg:n n of 2n+1
+    for name, words, M in (
+        ("ut:16", 560, 120),
+        ("ut:100", 161700, 4950),
+        ("ut:100:scheme", 161700, 4950),
+        ("heisenberg:181", 181, 363),
+        ("heisenberg:2000", 2000, 4001),
+    ):
+        with pytest.raises(GuardError) as info:
+            builtin(name)
+        assert (
+            f"{words} relation words of {M} entries, {words * M} in all; "
+            f"the cap is {cap}"
+        ) in str(info.value), name
 
 
 def test_weight_of():
