@@ -237,20 +237,19 @@ class _Sifter:
         self.assigned += 1
 
     def sift(self, m):
-        level, row = 1, 0
         while True:
-            k = _lead(m, level, row)
+            k = _lead(m)
             if k is None:
                 return
             level, i = k
-            a = m.rows[i][i + level]
+            a = m.entries[i][i + level]
             g = self.slots.get(k)
             if g is None:
                 mi = m.inverse()
                 self._assign(k, *((m, mi) if a > 0 else (mi, m)))
                 return
             gi = self.inverses[k]
-            c = g.rows[i][i + level]
+            c = g.entries[i][i + level]
             if a % c:
                 d, u, v = _xgcd(c, a)
                 # h = g**u * m**v has lead coefficient u*c + v*a = d > 0.
@@ -266,8 +265,6 @@ class _Sifter:
                 self.queue.append(g)
                 g, gi, c = h, hi, d
             m = _power(g, gi, -(a // c)) * m
-            # the reduction cleared the lead and everything before it
-            row = i + 1
 
     def drain(self):
         while self.queue:
@@ -324,7 +321,7 @@ def standardize(sub):
         raise RuntimeError("conjugation closure did not stabilize")
     leads = sorted(sifter.slots)
     slots = [sifter.slots[k] for k in leads]
-    coeffs = [s.rows[i][i + l] for (l, i), s in zip(leads, slots)]
+    coeffs = [s.entries[i][i + l] for (l, i), s in zip(leads, slots)]
     return StandardizedSequence(sub.n, slots, leads, coeffs)
 
 
@@ -369,7 +366,7 @@ def member_certificate(h, sub):
         if lead < k:
             return None
         l, i = k
-        a = cur.rows[i][i + l]
+        a = cur.entries[i].get(i + l, 0)
         if a % c:
             return None
         e = a // c

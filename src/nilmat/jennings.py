@@ -26,7 +26,6 @@ from .matgroup import (
     RationalSquareMatrix,
     UnitriangularMatrix,
     _wrap,
-    identity,
     level_weight,
     matrix_to_json,
 )
@@ -185,9 +184,10 @@ class JenningsBasis:
         basis monomial (the basis is a lower set), so F costs one
         collector product per basis monomial.  The binomial sum factors
         over the axes and is triangular along each, so it is applied one
-        axis at a time.  Returns an UnitriangularMatrix, built with its
-        nonzero index, when the basis order supports it, otherwise a
-        RationalSquareMatrix carrying the same integer entries.
+        axis at a time.  Returns a UnitriangularMatrix, whose sparse
+        entries are these rows less the diagonal, when the basis order
+        supports it, otherwise a RationalSquareMatrix carrying the same
+        integer entries.
         """
         p = self.presentation
         coords = tuple(coords)
@@ -211,25 +211,16 @@ class JenningsBasis:
                 done.append(row)
             rows = done
         d = len(monomials)
-        unit = identity(d).rows
-        dense = []
-        nz = []
-        unitriangular = True
-        for i, row in enumerate(rows):
-            cols = sorted(row)
-            if cols == [i] and row[i] == 1:
-                dense.append(unit[i])
-                nz.append(())
-                continue
-            out = [0] * d
-            for col in cols:
-                out[col] = row[col]
-            dense.append(tuple(out))
-            nz.append(tuple(cols[1:]))
-            unitriangular = unitriangular and cols[0] == i and row[i] == 1
-        if unitriangular:
-            return _wrap(d, tuple(dense), nz=tuple(nz))
-        return RationalSquareMatrix(tuple(dense))
+        if all(
+            row.get(i) == 1 and min(row) == i for i, row in enumerate(rows)
+        ):
+            for i, row in enumerate(rows):
+                del row[i]
+            return _wrap(d, rows)
+        cols = range(d)
+        return RationalSquareMatrix(
+            [[row.get(j, 0) for j in cols] for row in rows]
+        )
 
     def action_matrix(self, k):
         """element_matrix of the k-th generator (1-based)."""

@@ -1,10 +1,13 @@
 """Exact arithmetic for integer unitriangular matrix groups.
 
-Matrices are immutable (tuples of tuples) so they can serve as dict keys
-and set members.  All arithmetic is exact: ints for group elements,
-fractions for matrix logarithms.  Positions are 1-based pairs (i, j)
-with i < j, matching the usual notation s_ij for an elementary matrix
-with a single off-diagonal entry.
+Matrices are immutable so they can serve as dict keys and set members.
+UnitriangularMatrix and RationalNilpotentMatrix share one storage: only
+the nonzero strictly-upper entries, one dict per row from 0-based
+column to value, with the dense rows built on demand; the level-major
+lead of a matrix is read off its row minima.  All arithmetic is exact:
+ints for group elements, fractions for matrix logarithms.  Positions
+are 1-based pairs (i, j) with i < j, matching the usual notation s_ij
+for an elementary matrix with a single off-diagonal entry.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from itertools import compress
 
 __all__ = [
     "UnitriangularMatrix",
@@ -40,115 +42,92 @@ class UnitriangularMatrix:
     Immutable and hashable.  Supports ``*``, ``**`` (any integer
     exponent), ``inverse()`` and 1-based ``entry(i, j)`` access.
 
-    Beside the dense rows a matrix can hold, per row, the columns of
-    its nonzero strictly-upper entries (``nonzeros()``).  A product
-    walks only the left factor's nonzero entries, building that index on
-    first use, and the right factor's once its index is built; where a
-    row of the left factor is a unit row, the product reuses the right
-    factor's row.  An inverse walks only nonzero entries and comes with
-    its index, as do the matrices built by JenningsBasis.
+    Stored like RationalNilpotentMatrix: ``entries`` holds, per row, a
+    dict from 0-based column to the nonzero strictly-upper int entries,
+    never mutated, so N = m - I is ``entries`` itself.  Products and
+    inverses walk only these, and a product reuses the right factor's
+    row where the left factor's row is a unit row.  The dense ``rows``
+    are built on demand.
     """
 
-    __slots__ = ("n", "rows", "_nz")
+    __slots__ = ("n", "entries")
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(rows)
         n = len(rows)
+        entries = []
         for i, row in enumerate(rows):
+            row = tuple(row)
             if len(row) != n:
                 raise ValueError("matrix is not square")
             if row[i] != 1:
                 raise ValueError("diagonal entry is not 1")
-            for j in range(i):
-                if row[j] != 0:
-                    raise ValueError("nonzero entry below the diagonal")
-            for j in range(i + 1, n):
-                if not isinstance(row[j], int):
+            if row[:i].count(0) != i:
+                raise ValueError("nonzero entry below the diagonal")
+            nz = {}
+            for j, e in enumerate(row[i + 1:], i + 1):
+                if not isinstance(e, int):
                     raise ValueError("matrix entries must be integers")
+                if e:
+                    nz[j] = e
+            entries.append(nz)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_nz", None)
+        object.__setattr__(self, "entries", tuple(entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitriangularMatrix is immutable")
 
+    @property
+    def rows(self):
+        """The dense rows, as tuples."""
+        return _dense(self.n, self.entries, 1)
+
     def entry(self, i, j):
         """Entry at 1-based position (i, j)."""
-        return self.rows[i - 1][j - 1]
-
-    def nonzeros(self):
-        """Per row, the 0-based columns of its nonzero strictly-upper
-        entries, in increasing order; built once and then cached."""
-        nz = self._nz
-        if nz is None:
-            cols = range(self.n)
-            # the diagonal 1 is each row's first nonzero entry
-            nz = tuple(tuple(compress(cols, row))[1:] for row in self.rows)
-            object.__setattr__(self, "_nz", nz)
-        return nz
+        return self.entries[i - 1].get(j - 1, int(i == j))
 
     def __eq__(self, other):
         return (
-            isinstance(other, UnitriangularMatrix) and self.rows == other.rows
+            isinstance(other, UnitriangularMatrix)
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(frozenset(
+            (i, j, e) for i, r in enumerate(self.entries)
+            for j, e in r.items()
+        ))
 
     def __mul__(self, other):
         if not isinstance(other, UnitriangularMatrix):
             return NotImplemented
-        n = self.n
-        if other.n != n:
+        if other.n != self.n:
             raise ValueError("size mismatch")
-        a = self.rows
-        b = other.rows
-        # the right factor's index is used when it is already built
-        bnz = other._nz or [range(k + 1, n) for k in range(n)]
+        b = other.entries
         out = []
-        for i, ks in enumerate(self.nonzeros()):
-            if not ks:
-                out.append(b[i])
-                continue
-            ai = a[i]
-            row = list(b[i])
-            for k in ks:
-                c = ai[k]
-                bk = b[k]
-                row[k] += c
-                for j in bnz[k]:
-                    row[j] += c * bk[j]
-            out.append(tuple(row))
-        return _wrap(n, tuple(out))
+        # row i of (I + A)(I + B) - I is b_i + a_i + a_i B
+        for ai, bi in zip(self.entries, b):
+            if ai:
+                bi = _add_into(dict(bi), 1, ai)
+                for k, c in ai.items():
+                    _add_into(bi, c, b[k])
+            out.append(bi)
+        return _wrap(self.n, out)
 
     def inverse(self):
-        """Group inverse, row by row from the bottom: the rows x_i of
-        the inverse satisfy x_i = e_i - sum a_ik x_k over the nonzero
-        a_ik, k > i.  The inverse's nonzero index comes for free."""
-        n = self.n
-        a = self.rows
-        anz = self.nonzeros()
-        unit = identity(n).rows
-        cols = range(n)
-        x = [None] * n
-        xnz = [()] * n
-        for i in range(n - 1, -1, -1):
-            ks = anz[i]
-            if not ks:
-                x[i] = unit[i]
-                continue
+        """Group inverse, row by row from the bottom: the strictly-upper
+        rows x_i of the inverse satisfy x_i = -a_i - sum a_ik x_k over
+        the nonzero a_ik, k > i."""
+        a = self.entries
+        x = list(a)  # a unit row stays a unit row
+        for i in range(self.n - 1, -1, -1):
             ai = a[i]
-            row = [0] * n
-            row[i] = 1
-            for k in ks:
-                c = ai[k]
-                xk = x[k]
-                row[k] -= c
-                for j in xnz[k]:
-                    row[j] -= c * xk[j]
-            x[i] = tuple(row)
-            xnz[i] = tuple(compress(cols, row))[1:]
-        return _wrap(n, tuple(x), nz=tuple(xnz))
+            if ai:
+                xi = {k: -c for k, c in ai.items()}
+                for k, c in ai.items():
+                    _add_into(xi, -c, x[k])
+                x[i] = xi
+        return _wrap(self.n, x)
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -157,8 +136,7 @@ class UnitriangularMatrix:
 
     @property
     def is_identity(self):
-        n = self.n
-        return all(row.count(0) == n - 1 for row in self.rows)
+        return not any(self.entries)
 
     def __repr__(self):
         return f"UnitriangularMatrix({list(map(list, self.rows))!r})"
@@ -181,13 +159,12 @@ def binary_power(x, e, one, mul=operator.mul, inverse=None):
     return one if result is None else result
 
 
-def _wrap(n, rows, nz=None):
-    """Build a unitriangular matrix from known-good rows, skipping
-    validation; nz is its nonzero index when already known."""
+def _wrap(n, entries):
+    """A unitriangular matrix from known-good sparse entries, skipping
+    validation."""
     m = object.__new__(UnitriangularMatrix)
     object.__setattr__(m, "n", n)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "_nz", nz)
+    object.__setattr__(m, "entries", tuple(entries))
     return m
 
 
@@ -198,9 +175,7 @@ def identity(n):
     """The n x n identity."""
     m = _IDENTITY_CACHE.get(n)
     if m is None:
-        zero = (0,) * n
-        rows = tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
-        m = _IDENTITY_CACHE[n] = _wrap(n, rows, nz=((),) * n)
+        m = _IDENTITY_CACHE[n] = _wrap(n, ({},) * n)
     return m
 
 
@@ -208,9 +183,12 @@ def elementary(n, i, j, alpha=1):
     """Identity plus alpha at 1-based position (i, j), i < j."""
     if not (1 <= i < j <= n):
         raise ValueError(f"position ({i}, {j}) is not above the diagonal")
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[i - 1][j - 1] = alpha
-    return UnitriangularMatrix(rows)
+    if not isinstance(alpha, int):
+        raise ValueError("matrix entries must be integers")
+    entries = [{}] * n
+    if alpha:
+        entries[i - 1] = {j - 1: alpha}
+    return _wrap(n, entries)
 
 
 def commutator(a, b):
@@ -218,18 +196,15 @@ def commutator(a, b):
     return a.inverse() * b.inverse() * a * b
 
 
-def _lead(m, level=1, row=0):
+def _lead(m):
     """(level, row) of the first nonzero strictly-upper entry of m in
     level-major order (level j - i ascending, then row; rows 0-based),
-    from (level, row) on; None when there is none."""
-    rows = m.rows
-    n = m.n
-    for lvl in range(level, n):
-        for i in range(row, n - lvl):
-            if rows[i][i + lvl]:
-                return lvl, i
-        row = 0
-    return None
+    the least of each nonempty row's (level, row); None when there is
+    none."""
+    return min(
+        ((min(r) - i, i) for i, r in enumerate(m.entries) if r),
+        default=None,
+    )
 
 
 def level_weight(m):
@@ -380,8 +355,7 @@ class RationalNilpotentMatrix:
     @property
     def rows(self):
         """The dense rows, as tuples."""
-        cols = range(self.n)
-        return tuple(tuple(r.get(j, 0) for j in cols) for r in self.entries)
+        return _dense(self.n, self.entries, 0)
 
     def __eq__(self, other):
         return (
@@ -438,6 +412,19 @@ def _nilpotent(n, entries):
     return m
 
 
+def _dense(n, entries, diagonal):
+    """Dense rows, as tuples, of the sparse strictly-upper entries with
+    the given value on the diagonal."""
+    out = []
+    for i, r in enumerate(entries):
+        row = [0] * n
+        row[i] = diagonal
+        for j, e in r.items():
+            row[j] = e
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _add_into(acc, c, row):
     """acc += c * row for sparse rows and c != 0, dropping zeros."""
     for j, e in row.items():
@@ -472,9 +459,7 @@ def _log_numerator(m):
     """(num, den) with log(m) == num / den: num is a nilpotent matrix
     with int entries and den a positive int, found without forming a
     Fraction."""
-    nil = _nilpotent(m.n, [
-        {j: row[j] for j in ks} for row, ks in zip(m.rows, m.nonzeros())
-    ])
+    nil = _nilpotent(m.n, m.entries)
     # num/den is the sum of (-1)^(i+1) N^i / i over i < k, and term N^k
     num, den = nil, 1
     term, k = nil * nil, 2
@@ -500,9 +485,8 @@ def exp_nilpotent(x):
         total = total + term
     if any(e.denominator != 1 for r in total.entries for e in r.values()):
         raise ValueError("exponential is not an integer matrix")
-    return UnitriangularMatrix([
-        [int(e) + (i == j) for j, e in enumerate(row)]
-        for i, row in enumerate(total.rows)
+    return _wrap(total.n, [
+        {j: int(e) for j, e in r.items()} for r in total.entries
     ])
 
 
@@ -617,11 +601,11 @@ def matrix_from_json(obj):
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     n = _entry_from_json(n, "matrix size n")
-    if len(rows) != n:
+    if len(_list_from_json(rows, "matrix rows")) != n:
         raise ValueError("matrix row count does not match n")
     parsed = []
     for row in rows:
-        if len(row) != n:
+        if len(_list_from_json(row, "matrix row")) != n:
             raise ValueError("matrix row length does not match n")
         parsed.append(tuple(_entry_from_json(e) for e in row))
     return UnitriangularMatrix(tuple(parsed))
@@ -639,3 +623,14 @@ def _entry_from_json(e, what="entry"):
     if not isinstance(e, int) or isinstance(e, bool):
         raise ValueError(f"{what} {e!r} is not an integer")
     return e
+
+
+def _list_from_json(value, what):
+    """value when it is a JSON list; anything else, a string above all,
+    which would be read character by character, raises ValueError
+    naming it as what."""
+    if not isinstance(value, list):
+        raise ValueError(
+            f"{what} must be a JSON list, not {type(value).__name__}"
+        )
+    return value

@@ -21,6 +21,7 @@ from .distortion import GuardError
 from .matgroup import (
     PositionBasis,
     _entry_from_json,
+    _list_from_json,
     binary_power,
     commutator,
     elementary,
@@ -396,7 +397,7 @@ def presentation_from_json(obj):
     including positions that are not M pairs 1 <= i < j <= ambient_n."""
     try:
         M = _entry_from_json(obj["M"], "M")
-        weights = obj["weights"]
+        weights = _list_from_json(obj["weights"], "weights")
         raw = obj["relations"]
         label = obj.get("label")
         positions = obj.get("positions")
@@ -406,7 +407,8 @@ def presentation_from_json(obj):
     rels = {}
     for item in raw:
         try:
-            rels[(item["j"], item["i"])] = tuple(item["word"])
+            word = _list_from_json(item["word"], "relation word")
+            rels[(item["j"], item["i"])] = tuple(word)
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed relation entry: {exc}") from exc
     if positions is not None or ambient_n is not None:

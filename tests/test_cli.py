@@ -217,6 +217,9 @@ ROWS3 = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     (1, True, [["1"]]),
     (3.0, 3, ROWS3),
     (3, 3.0, ROWS3),
+    # a string where a list belongs is not read character by character
+    (2, 2, ["11", "01"]),
+    (1, 1, "1"),
 ])
 def test_distortion_rejects_non_integer_sizes(capsys, tmp_path, N, n, rows):
     payload = {"N": N, "generators": [{"n": n, "rows": rows}]}
@@ -224,7 +227,13 @@ def test_distortion_rejects_non_integer_sizes(capsys, tmp_path, N, n, rows):
     path.write_text(json.dumps(payload))
     rc, out, err = run(capsys, "distortion", f"file:{path}")
     assert rc == 1 and out == ""
-    assert err.startswith("nilmat: error:") and "is not an integer" in err
+    if isinstance(rows, str):
+        want = "matrix rows must be a JSON list, not str"
+    elif isinstance(rows[0], str):
+        want = "matrix row must be a JSON list, not str"
+    else:
+        want = "is not an integer"
+    assert err.startswith("nilmat: error:") and want in err
 
 
 def test_distortion_rejects_deeply_nested_json(capsys, tmp_path):
@@ -239,6 +248,8 @@ def test_distortion_rejects_deeply_nested_json(capsys, tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("M", 3.0), ("weight", 2.7), ("weight", True), ("key", 2.0),
     ("word", True), ("word", -1.0),
+    # the digits of the right list, as a string in its place
+    ("weights", "112"), ("relation word", "001"),
 ])
 def test_embed_rejects_non_integer_presentation_fields(
     capsys, tmp_path, field, value
@@ -249,16 +260,22 @@ def test_embed_rejects_non_integer_presentation_fields(
         obj["M"] = value
     elif field == "weight":
         obj["weights"][2] = value
+    elif field == "weights":
+        obj["weights"] = value
     elif field == "key":
         rel["j"] = value
-    else:
+    elif field == "word":
         rel["word"][2] = value
+    else:
+        rel["word"] = value
     path = tmp_path / "group.json"
     path.write_text(json.dumps(obj))
     for kind in ("jennings", "nickel"):
         rc, out, err = run(capsys, "embed", kind, f"file:{path}")
         assert rc == 1 and out == ""
         assert err.startswith("nilmat: error:")
+        if isinstance(value, str):
+            assert f"{field} must be a JSON list, not str" in err
 
 
 def test_construct_json(capsys):

@@ -2,9 +2,14 @@
 share the code path it checks: the level-major lead scan against a
 brute-force minimum, collection against matrix products, presentation
 JSON against itself, membership certificates against the product
-they certify, and subgroup depth against the series of the slots."""
+they certify, subgroup depth against the series of the slots, and the
+CLI's exit code 1 on malformed subgroup JSON."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from itertools import product
 
 import pytest
@@ -13,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from nilmat.cli import main  # noqa: E402
 from nilmat.distortion import (  # noqa: E402
     SubgroupGens,
     lie_span,
@@ -27,6 +33,7 @@ from nilmat.matgroup import (  # noqa: E402
     identity,
     in_level_subgroup,
     level_weight,
+    matrix_to_json,
 )
 from nilmat.presentation import (  # noqa: E402
     NilpotentPresentation,
@@ -56,20 +63,19 @@ def unitriangular(draw, max_n=10):
     return UnitriangularMatrix(rows)
 
 
-def brute_lead(m, start=(1, 0)):
-    """Least (j - i, i) over nonzero strictly-upper entries, from start."""
+def brute_lead(m):
+    """Least (j - i, i) over nonzero strictly-upper entries."""
     keys = [
         (j - i, i) for i in range(m.n) for j in range(i + 1, m.n)
         if m.rows[i][j]
     ]
-    return min((k for k in keys if k >= start), default=None)
+    return min(keys, default=None)
 
 
 @fast
-@given(unitriangular(), st.integers(1, 10), st.integers(0, 10))
-def test_lead_is_the_level_major_minimum(m, level, row):
+@given(unitriangular())
+def test_lead_is_the_level_major_minimum(m):
     assert _lead(m) == brute_lead(m)
-    assert _lead(m, level, row) == brute_lead(m, (level, row))
     lead = brute_lead(m)
     if lead is None:
         assert m.is_identity
@@ -191,3 +197,58 @@ def test_subgroup_depth_matches_the_slot_series(sub, data):
     h = word(data.draw, seq.slots, max_size=4)
     assume(not h.is_identity)
     assert subgroup_depth(h, sub) == lie_span(seq.slots, seq.n).depth(h)
+
+
+DEFECTS = ("rows text", "row text", "ragged", "n", "diagonal", "below",
+           "float", "bool")
+
+
+@st.composite
+def malformed_subgroups(draw):
+    """Subgroup JSON for N <= 6 whose generator has one drawn defect."""
+    g = matrix_to_json(draw(unitriangular(max_n=6)))
+    n, rows = g["n"], g["rows"]
+    defect = draw(st.sampled_from(DEFECTS))
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1))
+    # a string where a list belongs, spelling digits that read as a
+    # valid row (or matrix, for n = 1) if taken character by character
+    if defect == "rows text":
+        g["rows"] = draw(st.text("01", min_size=n, max_size=n))
+    elif defect == "row text":
+        rows[i] = "0" * i + "1" + draw(
+            st.text("0123456789", min_size=n - i - 1, max_size=n - i - 1)
+        )
+    elif defect == "ragged":
+        if draw(st.booleans()):
+            rows[i].append("0")
+        else:
+            rows[i].pop()
+    elif defect == "n":
+        g["n"] = n + draw(st.sampled_from((-1, 1)))
+    elif defect == "diagonal":
+        rows[i][i] = str(draw(st.integers(-3, 3).filter(lambda e: e != 1)))
+    elif defect == "below":
+        i, j = max(i, j), min(i, j)
+        assume(i > j)
+        rows[i][j] = str(draw(st.integers(-3, 3).filter(bool)))
+    elif defect == "float":
+        rows[i][j] = draw(st.floats())
+    else:
+        rows[i][j] = draw(st.booleans())
+    return json.dumps({"N": n, "generators": [g]})
+
+
+@fast
+@given(malformed_subgroups())
+def test_malformed_subgroup_json_exits_1(payload):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sub.json")
+        with open(path, "w") as fh:
+            fh.write(payload)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["distortion", f"file:{path}"])
+    assert rc == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith("nilmat: error:")
+    assert "Traceback" not in err.getvalue()
