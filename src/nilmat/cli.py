@@ -26,12 +26,7 @@ from .distortion import (
     subgroup_from_json,
     subgroup_to_json,
 )
-from .jennings import (
-    embedding_to_json,
-    image_degree,
-    image_weights,
-    jennings_embedding,
-)
+from .jennings import _survey_record, embedding_to_json, jennings_embedding
 from .nickel import function_module, nickel_embedding, ordering_search
 from .presentation import builtin, presentation_from_json
 from .verify import run_all
@@ -192,13 +187,8 @@ def _jennings_survey(group):
             emb = jennings_embedding(group, order=order)
         except ValueError:
             continue
-        hit = emb.unitriangular
-        records.append({
-            "ordering": order,
-            "unitriangular": hit,
-            "weights": image_weights(emb) if hit else None,
-            "degree": image_degree(emb) if hit else None,
-        })
+        images = emb.generators if emb.unitriangular else None
+        records.append(_survey_record(order, images))
     return records
 
 

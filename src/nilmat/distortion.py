@@ -9,12 +9,18 @@ subgroup's isolated lower central series.  By the Malcev
 correspondence that position is the largest k with log h in L_k, the
 k-th lower central term of the rational Lie algebra L_1 generated by
 the logarithms of the subgroup's generators; LieAlgebraSpan holds the
-whole series L_1 >= L_2 >= ... in integer echelon form.  Any generating
-set gives the same series, so distortion_degree and subgroup_depth
-both build it, through one cache, from whichever of the input
-generators and the standardized slots is the shorter list.  The
-group-side series (lower_central_gens, commutators of the generators)
-serves only the independent oracle depth_by_powers.
+whole series L_1 >= L_2 >= ... in integer echelon form, pivoting in
+level-major order.  The degree (Osin: the largest level(h)/depth(h))
+and its strata are read off that one echelon (LieAlgebraSpan.strata
+and .degree), so callers that want only the degree, such as
+jennings.image_degree and the ordering surveys, never standardize.
+distortion_degree standardizes to print slot witnesses beside the same
+strata.  Any generating set gives the same series, so
+distortion_degree and subgroup_depth both build it, through one cache,
+from whichever of the input generators and the standardized slots is
+the shorter list.  The group-side series (lower_central_gens,
+commutators of the generators) serves only the independent oracle
+depth_by_powers.
 
 Everything is exact.  Searches that could blow up (brute-force word
 enumeration, metric balls) take explicit bounds and raise GuardError
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import gcd, lcm
 
 from .matgroup import (
@@ -83,12 +89,13 @@ class GuardError(RuntimeError):
 MAX_POSITIONS = 1 << 18
 
 
-def _check_positions(n):
-    """N(N-1)/2 for N = n; GuardError when it exceeds MAX_POSITIONS."""
+def _check_positions(n, what="subgroup size N"):
+    """N(N-1)/2 for N = n; GuardError, naming n as what, when it
+    exceeds MAX_POSITIONS."""
     positions = n * (n - 1) // 2
     if positions > MAX_POSITIONS:
         raise GuardError(
-            f"subgroup size N = {n} has N(N-1)/2 = {positions} "
+            f"{what} = {n} has N(N-1)/2 = {positions} "
             f"positions; the cap is {MAX_POSITIONS}"
         )
     return positions
@@ -451,14 +458,15 @@ def _primitive(m):
     keyed by their level-major (level, row), the order of _lead."""
     if isinstance(m, UnitriangularMatrix):
         m = _log_numerator(m)[0]
-    values = [e for r in m.entries for e in r.values()]
-    d = lcm(*(e.denominator for e in values))
-    g = gcd(*(int(e * d) for e in values))
-    x = _nilpotent(m.n, [
-        {j: int(e * d) // g for j, e in r.items()} for r in m.entries
-    ])
-    return x, {
-        (j - i, i): e for i, r in enumerate(x.entries) for j, e in r.items()
+    rows = m.entries
+    if any(type(e) is not int for r in rows for e in r.values()):
+        d = lcm(*(e.denominator for r in rows for e in r.values()))
+        rows = [{j: int(e * d) for j, e in r.items()} for r in rows]
+    g = gcd(*(e for r in rows for e in r.values()))
+    if g > 1:
+        rows = [{j: e // g for j, e in r.items()} for r in rows]
+    return _nilpotent(m.n, rows), {
+        (j - i, i): e for i, r in enumerate(rows) for j, e in r.items()
     }
 
 
@@ -569,6 +577,27 @@ class LieAlgebraSpan:
     def dimension(self):
         return len(self._rows)
 
+    def strata(self):
+        """(m, t) for each pivot level m, deepest first, where t is the
+        smallest tag among the rows whose pivot level is >= m.  Those
+        rows span the part of L_1 at level >= m (the pivots are
+        level-major), and each row's depth is its tag, so t is the
+        smallest depth there."""
+        low = {}
+        for (level, _), (_, tag) in self._rows.items():
+            low[level] = min(tag, low.get(level, tag))
+        levels = sorted(low, reverse=True)
+        return tuple(zip(levels, accumulate((low[m] for m in levels), min)))
+
+    @property
+    def degree(self):
+        """The distortion degree, the largest m/t over the strata, of a
+        subgroup whose generators' logarithms generate L_1.  Raises
+        ValueError for the zero algebra (a trivial subgroup)."""
+        if not self._rows:
+            raise ValueError("subgroup is trivial; distortion is undefined")
+        return max(Fraction(m, t) for m, t in self.strata())
+
 
 def lie_span(mats, n=None):
     """Lie algebra generated by the matrices, with its lower central
@@ -663,36 +692,30 @@ def report_to_json(report):
 def distortion_degree(sub):
     """Exact distortion degree of the subgroup in its ambient group.
 
-    Walks depth levels from the deepest slot lead downward.  Each time
-    the set of slots at or below the current depth grows, a stratum is
-    recorded: its ambient depth m, and the smallest subgroup depth t
-    among those slots.  The degree is the largest m/t; elements beyond
-    the witness slot can only tie this ratio, never beat it, because
-    both depths are monotone along products within a stratum.
-
-    The slots' subgroup depths are read off the Lie series, taking each
-    slot's logarithm once; every slot is a member, so no membership
-    check is made.  The logarithms of any generating set generate the
-    same Lie algebra, with the same lower central series, so for a
-    SubgroupGens with fewer generators than slots the series is built
-    from the generators, which needs fewer brackets, and otherwise, as
-    for a StandardizedSequence, from the slots, whose logarithms the
-    depths then reuse.
+    The strata (m, t) and the degree, the largest m/t, are those of the
+    subgroup's Lie series (LieAlgebraSpan.strata): by Osin's theorem
+    the degree is the largest level(h)/depth(h), and by Malcev the
+    slots at level >= m generate a lattice in the part of the Lie
+    algebra at level >= m, whose smallest depth is t.  Standardizing
+    adds the printed witnesses: each stratum's witness is the first
+    slot at level >= m of depth t, and the report's witness that of the
+    first stratum attaining the degree.  The slots' depths are read off
+    the series, taking each slot's logarithm once; every slot is a
+    member, so no membership check is made.  For a SubgroupGens with
+    fewer generators than slots the series is built from the
+    generators, which needs fewer brackets, and otherwise from the
+    slots (see _lie_series).  Raises RuntimeError when no slot
+    witnesses a stratum, which would mean the two sides disagree.
     """
     seq = _nontrivial_sequence(sub)
-    levels = seq.levels
     span = _lie_series(sub, seq)
-    depths = [span.depth(s) for s in seq.slots]
+    slots = [(l, span.depth(s), s) for l, s in zip(seq.levels, seq.slots)]
     strata = []
-    prev_size = 0
-    for m in range(max(levels), 0, -1):
-        slice_ix = [i for i, lvl in enumerate(levels) if lvl >= m]
-        if len(slice_ix) == prev_size:
-            continue
-        prev_size = len(slice_ix)
-        t = min(depths[i] for i in slice_ix)
-        wit = next(i for i in slice_ix if depths[i] == t)
-        strata.append(Stratum(m, t, seq.slots[wit]))
+    for m, t in span.strata():
+        wit = next((s for l, k, s in slots if l >= m and k == t), None)
+        if wit is None:
+            raise RuntimeError(f"no slot at level >= {m} has depth {t}")
+        strata.append(Stratum(m, t, wit))
     best = max(strata, key=lambda s: Fraction(s.m, s.t))
     return DistortionReport(
         Fraction(best.m, best.t), best.witness, tuple(strata)

@@ -16,12 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .distortion import (
-    MAX_POSITIONS,
-    GuardError,
-    SubgroupGens,
-    distortion_degree,
-)
+from .distortion import MAX_POSITIONS, GuardError, lie_span
 from .matgroup import (
     RationalSquareMatrix,
     UnitriangularMatrix,
@@ -42,8 +37,10 @@ __all__ = [
 
 ORDERS = ("weight-lex", "scheme-perturbed")
 
-# the largest matrix size N with N(N-1)/2 <= MAX_POSITIONS, so that
-# standardize admits every image that gets built (N = 724)
+# the largest matrix size N with N(N-1)/2 <= MAX_POSITIONS (N = 724):
+# image_degree reads the Lie series and needs no standardize, but an
+# image passed on as a subgroup (nilmat distortion) still does, and
+# embed prints N^2 entries per generator
 MAX_MONOMIALS = (1 + math.isqrt(1 + 8 * MAX_POSITIONS)) // 2
 
 
@@ -281,8 +278,23 @@ def image_weights(result):
 
 def image_degree(result):
     """Exact distortion degree of the image subgroup inside UT_d(Z),
-    for a result with unitriangular images."""
-    return distortion_degree(SubgroupGens(result.d, result.generators)).degree
+    for a result with unitriangular images, read off the Lie series of
+    the images (LieAlgebraSpan.degree) with no standardize."""
+    return lie_span(result.generators).degree
+
+
+def _survey_record(ordering, images):
+    """One record of an ordering survey: for unitriangular images the
+    level of each image and the degree of the image subgroup, as
+    image_weights and image_degree give them; images None for an
+    ordering whose images are not unitriangular."""
+    hit = images is not None
+    return {
+        "ordering": ordering,
+        "unitriangular": hit,
+        "weights": tuple(map(level_weight, images)) if hit else None,
+        "degree": lie_span(images).degree if hit else None,
+    }
 
 
 def embedding_to_json(result):

@@ -30,13 +30,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .distortion import GuardError, SubgroupGens, distortion_degree
-from .jennings import _embedding_result
-from .matgroup import (
-    RationalSquareMatrix as _RatMat,
-    UnitriangularMatrix,
-    level_weight,
-)
+from .distortion import GuardError
+from .jennings import _embedding_result, _survey_record
+from .matgroup import RationalSquareMatrix as _RatMat, UnitriangularMatrix
 from .presentation import _lower_set
 
 __all__ = [
@@ -416,13 +412,14 @@ def ordering_search(module, mode="exhaustive"):
 
     Records carry an ordering's labels, whether all generator images
     come out integral unitriangular, and for such a hit the level of
-    each image and the exact distortion degree of the image subgroup.
-    Hits are the linear extensions of the support digraph (_support),
-    so only hits build matrices.  mode "exhaustive" returns a record
-    per basis permutation in itertools.permutations order, hence the
-    cap at dimension 8.  mode "report-first" returns the first hit of
-    that scan, found by one topological sort with no size cap, or []
-    when there is none.
+    each image and the exact distortion degree of the image subgroup,
+    read off the images' Lie series with no standardize (the record
+    builder is shared with the Jennings survey).  Hits are the linear
+    extensions of the support digraph (_support), so only hits build
+    matrices.  mode "exhaustive" returns a record per basis permutation
+    in itertools.permutations order, hence the cap at dimension 8.
+    mode "report-first" returns the first hit of that scan, found by
+    one topological sort with no size cap, or [] when there is none.
     """
     if mode not in ("exhaustive", "report-first"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -435,19 +432,14 @@ def ordering_search(module, mode="exhaustive"):
     labels = module.labels
     base = [module.matrices[k] for k in range(1, module.presentation.M + 1)]
     shaped, edges = _support(base)
+    if shaped:  # the hits' images are integral: convert the entries once
+        base = [_permuted(m, range(dim), int) for m in base]
 
     def record(perm, hit):
-        rec = {
-            "ordering": tuple(labels[i] for i in perm),
-            "unitriangular": hit,
-            "weights": None,
-            "degree": None,
-        }
-        if hit:
-            unis = [UnitriangularMatrix(_permuted(m, perm, int)) for m in base]
-            rec["weights"] = tuple(level_weight(u) for u in unis)
-            rec["degree"] = distortion_degree(SubgroupGens(dim, unis)).degree
-        return rec
+        unis = [
+            UnitriangularMatrix(_permuted(m, perm, int)) for m in base
+        ] if hit else None
+        return _survey_record(tuple(labels[i] for i in perm), unis)
 
     if mode == "report-first":
         if not shaped:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .distortion import GuardError
+from .distortion import GuardError, _check_positions
 from .matgroup import (
     PositionBasis,
     _entry_from_json,
@@ -394,7 +394,11 @@ def presentation_to_json(p):
 
 def presentation_from_json(obj):
     """Inverse of presentation_to_json.  ValueError on malformed input,
-    including positions that are not M pairs 1 <= i < j <= ambient_n."""
+    including positions that are not M pairs 1 <= i < j <= ambient_n
+    and a relation key (j, i) given twice, once its entries are read as
+    integers.  GuardError for an ambient_n whose N(N-1)/2 exceeds
+    MAX_POSITIONS (so N <= 724), before any matrix is built: the
+    realization's matrices (validate(deep=True)) have that size."""
     try:
         M = _entry_from_json(obj["M"], "M")
         weights = _list_from_json(obj["weights"], "weights")
@@ -408,9 +412,14 @@ def presentation_from_json(obj):
     for item in raw:
         try:
             word = _list_from_json(item["word"], "relation word")
-            rels[(item["j"], item["i"])] = tuple(word)
+            key = tuple(
+                _entry_from_json(item[k], "relation key") for k in "ji"
+            )
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed relation entry: {exc}") from exc
+        if key in rels:
+            raise ValueError(f"duplicate relation key {key}")
+        rels[key] = tuple(word)
     if positions is not None or ambient_n is not None:
         ambient_n = _entry_from_json(ambient_n, "ambient_n")
         if not isinstance(positions, list) or len(positions) != M:
@@ -426,6 +435,7 @@ def presentation_from_json(obj):
                 )
             pairs.append((i, j))
         positions = pairs
+        _check_positions(ambient_n, "ambient_n")
     return NilpotentPresentation(
         M, weights, rels, label=label, positions=positions,
         ambient_n=ambient_n,

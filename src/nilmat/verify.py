@@ -103,7 +103,7 @@ def check_weight_lex_image():
 
 def check_scheme_perturbed():
     details = []
-    for m in (3, 4):
+    for m in (3, 4, 5):
         p = builtin(f"ut:{m}:scheme")
         emb = jennings_embedding(p, order="scheme-perturbed")
         if not (emb.unitriangular and emb.relators_ok):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from nilmat import distortion
+from nilmat import distortion, presentation
 from nilmat.cli import main
 from nilmat.distortion import SubgroupGens, distorted_subgroup, subgroup_to_json
 from nilmat.matgroup import elementary
@@ -145,12 +145,55 @@ def test_embed_rejects_malformed_positions(capsys, tmp_path, positions):
         assert err.startswith("nilmat: error:")
 
 
+@pytest.mark.parametrize("second", [
+    {"j": 2, "i": 1, "word": [0, 0, -5]},
+    {"j": "2", "i": 1, "word": [0, 0, -5]},
+])
+def test_embed_rejects_duplicate_relation_keys(capsys, tmp_path, second):
+    # a repeated (j, i), once the keys are read as integers, is refused
+    # instead of the last word silently winning
+    obj = presentation_to_json(builtin("heisenberg:1"))
+    obj["relations"].append(second)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "embed", "jennings", f"file:{path}")
+    assert rc == 1 and out == ""
+    assert err == "nilmat: error: duplicate relation key (2, 1)\n"
+
+
+def test_ambient_n_cap_exit_3(capsys, tmp_path, monkeypatch):
+    obj = presentation_to_json(builtin("heisenberg:1"))
+    path = tmp_path / "group.json"
+    # N = 724 is the largest ambient size with N(N-1)/2 <= 2^18
+    obj["ambient_n"] = 724
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "embed", "nickel", f"file:{path}")
+    assert rc == 0 and err == ""
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(presentation, "elementary", no_matrix)
+    for n in (725, 10**9):
+        obj["ambient_n"] = n
+        path.write_text(json.dumps(obj))
+        for command in ("embed", "orderings"):
+            rc, out, err = run(capsys, command, "nickel", f"file:{path}")
+            assert rc == 3 and out == ""
+            assert f"ambient_n = {n} has N(N-1)/2 = {n * (n - 1) // 2} " \
+                "positions; the cap is 262144" in err
+
+
 # sha256 of stdout per command line; the two permuted embeddings take
 # the RationalSquareMatrix path
 PINNED_STDOUT = {
     "orderings-nickel-heisenberg2-exhaustive": (
         ("orderings", "nickel", "heisenberg:2", "--exhaustive"),
         "261012b8d1030f96da835d5018501c27876b9ab47a12409038513718ea7ef41f",
+    ),
+    "orderings-nickel-heisenberg3-exhaustive": (
+        ("orderings", "nickel", "heisenberg:3", "--exhaustive"),
+        "c4627ede691ece7a1e68326ed12d330513123d50375af1a9d621d688f04e6fca",
     ),
     "orderings-jennings-ut3": (
         ("orderings", "jennings", "ut:3"),
@@ -457,6 +500,19 @@ def test_runtime_error_exits_2_without_traceback(capsys, monkeypatch):
     rc, out, err = run(capsys, "distortion", "-")
     assert rc == 2 and out == ""
     assert err == "nilmat: error: conjugation closure did not stabilize\n"
+
+
+def test_strata_without_a_witness_exit_2(capsys, monkeypatch):
+    # a stratum that no slot witnesses means the Lie and group sides
+    # disagree: an internal inconsistency, not a StopIteration
+    monkeypatch.setattr(
+        distortion.LieAlgebraSpan, "strata", lambda span: ((1, 99),)
+    )
+    blob = json.dumps(subgroup_to_json(distorted_subgroup(3, 2)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    rc, out, err = run(capsys, "distortion", "-")
+    assert rc == 2 and out == ""
+    assert err == "nilmat: error: no slot at level >= 1 has depth 99\n"
 
 
 def test_output_is_reproducible(capsys):

@@ -405,6 +405,13 @@ def integral_multiple(x, c):
     )
 
 
+def test_lie_degree_of_the_trivial_subgroup_is_undefined():
+    span = lie_span([identity(3)])
+    assert span.strata() == ()
+    with pytest.raises(ValueError, match="trivial"):
+        span.degree
+
+
 def test_lie_span_ignores_scaling():
     rng = random.Random(721)
     fractional = False
@@ -421,6 +428,7 @@ def test_lie_span_ignores_scaling():
             [integral_multiple(x, rng.choice((1, -2, 3))) for x in logs]
         )
         assert scaled.dimension == exact.dimension
+        assert scaled.strata() == exact.strata()
         outside = [log_unipotent(g) for g in random_subgroup(rng, 5).generators]
         probes = logs + [a.bracket(b) for a in logs for b in logs] + outside
         for x in probes:

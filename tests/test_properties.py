@@ -2,8 +2,10 @@
 share the code path it checks: the level-major lead scan against a
 brute-force minimum, collection against matrix products, presentation
 JSON against itself, membership certificates against the product
-they certify, subgroup depth against the series of the slots, and the
-CLI's exit code 1 on malformed subgroup JSON."""
+they certify, subgroup depth against the series of the slots, the Lie
+side's strata and degree against strata read off the standardized
+slots with the group-side depth oracle, and the CLI's exit code 1 on
+malformed subgroup JSON."""
 
 import contextlib
 import io
@@ -21,6 +23,9 @@ from hypothesis import strategies as st  # noqa: E402
 from nilmat.cli import main  # noqa: E402
 from nilmat.distortion import (  # noqa: E402
     SubgroupGens,
+    depth_by_powers,
+    distorted_subgroup,
+    distortion_degree,
     lie_span,
     member_certificate,
     standardize,
@@ -42,6 +47,7 @@ from nilmat.presentation import (  # noqa: E402
     presentation_from_json,
     presentation_to_json,
 )
+from test_distortion import conjugated, disguised  # noqa: E402
 
 # derandomized and without an example database, so a run reads and
 # writes no state and every run draws the same examples
@@ -197,6 +203,43 @@ def test_subgroup_depth_matches_the_slot_series(sub, data):
     h = word(data.draw, seq.slots, max_size=4)
     assume(not h.is_identity)
     assert subgroup_depth(h, sub) == lie_span(seq.slots, seq.n).depth(h)
+
+
+def group_strata(sub):
+    """The strata (m, t) on the group side: the distinct levels m of the
+    standardized slots, deepest first, and the smallest depth_by_powers
+    among the slots at level >= m."""
+    seq = standardize(sub)
+    slots = [(level_weight(s), depth_by_powers(s, seq)) for s in seq.slots]
+    return tuple(
+        (m, min(t for l, t in slots if l >= m))
+        for m in sorted({l for l, _ in slots}, reverse=True)
+    )
+
+
+def assert_lie_strata_match(sub):
+    span = lie_span(sub.generators, sub.n)
+    assert span.strata() == group_strata(sub)
+    assert span.degree == distortion_degree(sub).degree
+
+
+def test_lie_strata_match_the_group_side_on_the_report_goldens():
+    # the subgroups of test_distortion.test_report_goldens
+    for p in range(2, 13):
+        for q in range(2, p + 1):
+            assert_lie_strata_match(distorted_subgroup(p, q))
+    for p, q in ((4, 3), (5, 2), (7, 3), (8, 5), (9, 4), (11, 6)):
+        assert_lie_strata_match(conjugated(p, q, 100 * p + q))
+    for p in range(13, 17):
+        for q in (*range(2, 7), p):
+            assert_lie_strata_match(disguised(p, q, 100 * p + q))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 6).flatmap(subgroups))
+def test_lie_strata_match_the_group_side(sub):
+    assume(standardize(sub).slots)
+    assert_lie_strata_match(sub)
 
 
 DEFECTS = ("rows text", "row text", "ragged", "n", "diagonal", "below",
