@@ -14,17 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .distortion import MAX_POSITIONS, GuardError, lie_span
 from .matgroup import (
     RationalSquareMatrix,
     UnitriangularMatrix,
+    _add_into,
     _wrap,
     level_weight,
     matrix_to_json,
 )
-from .presentation import _lower_set, relation_failures
+from .presentation import (
+    _binomials,
+    _differences,
+    _lower_set,
+    relation_failures,
+)
 
 __all__ = [
     "JenningsBasis",
@@ -134,10 +139,10 @@ class JenningsBasis:
             radix.append(step)
             step *= cutoff // w + 1
         self._radix = tuple(radix)
-        self._codes = tuple(
-            sum(e * R for e, R in zip(m, radix)) for m in ordered
-        )
-        self._column = {c: k for k, c in enumerate(self._codes)}
+        self._column = {
+            sum(e * R for e, R in zip(m, radix)): k
+            for k, m in enumerate(ordered)
+        }
 
     def __len__(self):
         return len(self.monomials)
@@ -154,15 +159,16 @@ class JenningsBasis:
 
         The normal word x_1^a_1 ... x_M^a_M is already in generator
         order, so the product of the power series (1 - u_k)^a_k needs
-        no reordering and every term is a distinct monomial; terms above
+        no reordering and every term is a distinct monomial; the
+        coefficient of u^e in (1 - u)^a is (-1)^e C(a, e), and terms above
         the cutoff weight are dropped.
         """
         terms = [(0, 1, self.cutoff)]  # (code, coefficient, weight room)
         for a, w, R in zip(coords, self.presentation.weights, self._radix):
             if a:
-                series = _series(a, self.cutoff // w)
+                series = _binomials(a, self.cutoff // w)
                 terms = [
-                    (code + e * R, c * s, room - e * w)
+                    (code + e * R, -c * s if e & 1 else c * s, room - e * w)
                     for code, c, room in terms
                     for e, s in enumerate(series[:room // w + 1])
                 ]
@@ -176,37 +182,28 @@ class JenningsBasis:
 
         The monomial u^r = (1 - x_1)^r_1 ... (1 - x_M)^r_M is the signed
         sum over j <= r of (-1)^|j| C(r, j) x^j, where x^j is the group
-        element with exponent tuple j, so the row of u^r is the same sum
-        of the rows F(j) = expansion of x^j g.  Every j <= r is itself a
-        basis monomial (the basis is a lower set), so F costs one
-        collector product per basis monomial.  The binomial sum factors
-        over the axes and is triangular along each, so it is applied one
-        axis at a time.  Returns a UnitriangularMatrix, whose sparse
-        entries are these rows less the diagonal, when the basis order
-        supports it, otherwise a RationalSquareMatrix carrying the same
-        integer entries.
+        element with exponent tuple j, so the row of u^r is
+        (-1)^|r| Delta^r F(0), the iterated forward difference of the
+        rows F(j) = expansion of x^j g.  Every j <= r is itself a basis
+        monomial (the basis is a lower set), so F costs one collector
+        product per basis monomial, and the differences are taken in
+        place (presentation._differences).  Returns a
+        UnitriangularMatrix, whose sparse entries are these rows less the
+        diagonal, when the basis order supports it, otherwise a
+        RationalSquareMatrix carrying the same integer entries.
         """
         p = self.presentation
         coords = tuple(coords)
         monomials = self.monomials
-        codes = self._codes
-        column = self._column
         # sparse rows, column -> nonzero int
-        rows = [self._expand(p.multiply(r, coords)) for r in monomials]
-        for k, R in enumerate(self._radix):
-            done = []
-            for r, code, row in zip(monomials, codes, rows):
-                t = r[k]
-                if t:
-                    # sum over e <= t of (-1)^e C(t, e) row(r with r_k = e)
-                    base = code - t * R
-                    row = dict(rows[column[base]])
-                    for e, c in enumerate(_series(t, t)[1:], 1):
-                        for col, v in rows[column[base + e * R]].items():
-                            row[col] = row.get(col, 0) + c * v
-                    row = {col: v for col, v in row.items() if v}
-                done.append(row)
-            rows = done
+        table = {r: self._expand(p.multiply(r, coords)) for r in monomials}
+        _differences(table, lambda a, b: _add_into(a, -1, b))
+        # rebuilt rather than negated in place: the matrix keeps its
+        # rows, and differencing in place leaves them over-allocated
+        rows = []
+        for r in monomials:
+            sign = -1 if sum(r) & 1 else 1
+            rows.append({col: sign * v for col, v in table[r].items()})
         d = len(monomials)
         if all(
             row.get(i) == 1 and min(row) == i for i, row in enumerate(rows)
@@ -313,15 +310,3 @@ def embedding_to_json(result):
         "generators": [matrix_to_json(g) for g in result.generators],
         "unitriangular": result.unitriangular,
     }
-
-
-@lru_cache(maxsize=1024)
-def _series(a, top):
-    """Coefficients of u^0 .. u^top in (1 - u)^a, any integer a; for
-    a >= 0 the tuple stops at u^a, past which they vanish."""
-    if a >= 0:
-        return tuple(
-            -math.comb(a, e) if e & 1 else math.comb(a, e)
-            for e in range(min(a, top) + 1)
-        )
-    return tuple(math.comb(-a + e - 1, e) for e in range(top + 1))

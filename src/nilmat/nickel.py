@@ -17,23 +17,34 @@ then a polynomial in h of weighted degree at most w_k (the Deep Thought
 bound), so every translate of f has weighted degree at most wdeg(f).
 The smallest such weights are read off the relations; they never
 exceed the declared ones, and equal them on the stock groups.
-Its Newton coefficients therefore live on the lower set of exponents m
-with sum(m_k * w_k) <= wdeg(f); forward differences of the values on
-that set give them, and nothing needs to be sampled or checked outside
-it.  The bound, and so the result, assumes a consistent presentation:
-an inconsistent one gives a wrong module without an error, so check
-presentations from outside with validate(deep=True).
+Its Newton coefficients, over the basis C(h, m) = prod C(h_k, m_k),
+therefore live on the lower set of exponents m with
+sum(m_k * w_k) <= wdeg(f); forward differences of the values on that
+set give them, and nothing needs to be sampled or checked outside it.
+The module keeps its basis in these Newton coefficients, which are
+integers for an integer-valued function, and evaluates it through
+integer binomials; monomials are formed only for act's result and
+FunctionModule.basis.  The bound, and so the result, assumes a
+consistent presentation: an inconsistent one gives a wrong module
+without an error, so check presentations from outside with
+validate(deep=True).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
+from math import prod
 
 from .distortion import GuardError
 from .jennings import _embedding_result, _survey_record
-from .matgroup import RationalSquareMatrix as _RatMat, UnitriangularMatrix
-from .presentation import _lower_set
+from .matgroup import (
+    RationalSquareMatrix as _RatMat,
+    UnitriangularMatrix,
+    _add_into,
+)
+from .presentation import _binomials, _differences, _lower_set
 
 __all__ = [
     "CoordinatePolynomial",
@@ -82,16 +93,6 @@ class CoordinatePolynomial:
     def constant(cls, nvars, c=1):
         return cls(nvars, {(0,) * nvars: c})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def leading(self):
-        """Largest monomial in graded-lex order, or None."""
-        if not self.terms:
-            return None
-        return max(self.terms, key=_mono_key)
-
     def evaluate(self, point):
         total = Fraction(0)
         for mono, c in self.terms.items():
@@ -101,18 +102,6 @@ class CoordinatePolynomial:
                     v *= Fraction(x) ** e
             total += v
         return total
-
-    def combine(self, other, factor):
-        """self + factor * other, as a new polynomial."""
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + factor * c
-        return CoordinatePolynomial(self.nvars, terms)
-
-    def scaled(self, factor):
-        return CoordinatePolynomial(
-            self.nvars, {m: c * factor for m, c in self.terms.items()}
-        )
 
     def __eq__(self, other):
         return (
@@ -152,14 +141,6 @@ def _binomial_rows(n):
     return rows
 
 
-def _newton(vals):
-    """Forward differences: vals[i] becomes Delta^i vals(0)."""
-    for level in range(1, len(vals)):
-        for i in range(len(vals) - 1, level - 1, -1):
-            vals[i] -= vals[i - 1]
-    return vals
-
-
 def _relation_weights(p):
     """Smallest weights with w_k >= w_i + w_j whenever x_k occurs in the
     word of [x_j, x_i]; the word sits past x_j, so one pass suffices."""
@@ -176,40 +157,49 @@ def _relation_weights(p):
     return weights
 
 
-def _translate(f, word, p):
-    """Polynomial for h -> f(h * word^-1), from its values on the lower
-    set S of exponents of weighted degree <= wdeg(f); see the module
-    docstring for why S suffices."""
-    weights = _relation_weights(p)
-    top = max(
-        (sum(e * w for e, w in zip(mono, weights)) for mono in f.terms),
-        default=0,
+def _wdeg(terms, weights):
+    """Largest sum(m_k * w_k) over the exponent tuples of terms."""
+    return max(
+        (sum(e * w for e, w in zip(m, weights)) for m in terms), default=0
     )
-    ginv = p.inverse(word)
-    points = list(_lower_set(weights, top))
-    table = {j: f.evaluate(p.multiply(j, ginv)) for j in points}
-    # lines of S parallel to each axis, each in increasing order from 0
-    lines = []
-    for k in range(p.M):
-        by_rest = {}
-        for m in points:
-            by_rest.setdefault(m[:k] + m[k + 1 :], []).append(m)
-        lines.extend(by_rest.values())
-    # All differencing precedes all expanding.  A difference reads only
-    # points below it, which S holds; an expansion reads points above
-    # it, and the Newton coefficients there are zero only once every
-    # axis has been differenced.
-    for line in lines:
-        for m, v in zip(line, _newton([table[m] for m in line])):
-            table[m] = v
-    binom = _binomial_rows(top)
-    for line in lines:
-        coeffs = [table[m] for m in line]
-        for e, m in enumerate(line):
-            table[m] = sum(
-                coeffs[n] * binom[n][e] for n in range(e, len(coeffs))
-            )
-    return CoordinatePolynomial(p.M, table)
+
+
+def _translate(value, top, ginv, p):
+    """Nonzero Newton coefficients of h -> value(h * ginv), for a
+    function value of weighted degree top, from its values on the lower
+    set S of exponents of weighted degree <= top; see the module
+    docstring for why S suffices."""
+    table = {
+        j: value(p.multiply(j, ginv))
+        for j in _lower_set(_relation_weights(p), top)
+    }
+    _differences(table, operator.sub)
+    return {m: c for m, c in table.items() if c}
+
+
+def _newton_value(coeffs, point, top):
+    """sum c_m C(point, m) over the Newton coefficients coeffs, whose
+    exponents are at most top."""
+    # _binomials(a, top) stops at C(a, a) for a >= 0; pad with the zeros
+    rows = [_binomials(a, top) + (0,) * top for a in point]
+    return sum(
+        c * prod(map(tuple.__getitem__, rows, m)) for m, c in coeffs.items()
+    )
+
+
+def _monomials(n, coeffs):
+    """The CoordinatePolynomial sum c_m C(h, m) in n variables, from its
+    Newton coefficients, expanded one axis at a time."""
+    binom = _binomial_rows(max((max(m) for m in coeffs), default=0))
+    for k in range(n):
+        terms = {}
+        for m, c in coeffs.items():
+            for e, b in enumerate(binom[m[k]]):
+                if b:
+                    mono = m[:k] + (e,) + m[k + 1:]
+                    terms[mono] = terms.get(mono, 0) + c * b
+        coeffs = terms
+    return CoordinatePolynomial(n, coeffs)
 
 
 class FunctionModule:
@@ -255,58 +245,71 @@ def act(f, word, presentation):
         raise ValueError("function and presentation sizes differ")
     if len(word) != presentation.M:
         raise ValueError("exponent tuple has wrong length")
-    return _translate(f, word, presentation)
+    p = presentation
+    top = _wdeg(f.terms, _relation_weights(p))
+    return _monomials(p.M, _translate(f.evaluate, top, p.inverse(word), p))
 
 
 def function_module(presentation):
     """Close the span of coordinate projections under translation.
 
     Seeds the basis with t_1..t_M and the constant, then repeatedly
-    applies every generator to every basis function.  One reduction
-    against the basis by graded-lex leading monomials both expresses a
-    translate in the basis and finds what it adds: at the first leading
-    monomial with no basis row, the remainder joins the basis
-    sign-normalized but not rescaled, so forced functions keep their
-    natural denominators, and the reduction ends on it.  Each generator
+    applies every generator to every basis function.  The basis and the
+    translates are held as Newton coefficient dicts (see _translate).
+    One reduction against the basis by graded-lex leading exponents both
+    expresses a translate in the basis and finds what it adds: at the
+    first leading exponent with no basis row, the remainder joins the
+    basis sign-normalized but not rescaled, so forced functions keep
+    their natural denominators, and the reduction ends on it.  C(h, m)
+    has leading monomial h^m / m! and only lower total degrees besides,
+    so the lead of sum c_m C(h, m) is its largest m, and each step picks
+    the same lead and ratio as a reduction over monomials would; the
+    basis is expanded to monomials once, at the end.  Each generator
     acts injectively on the finite-dimensional span, so a span closed
     under the generators is closed under their inverses too.  Action
     rows are recorded as they are computed; entries over basis elements
     discovered later are zero by construction.
     """
-    m = presentation.M
-    basis = []
+    p = presentation
+    m = p.M
+    weights = _relation_weights(p)
+    basis = []  # Newton coefficient dicts
     labels = []
     lead_rows = {}
 
     def express(poly, label):
         """Coefficients of poly over the basis, which first gains
-        poly's nonzero remainder, if any, under label."""
+        poly's nonzero remainder, if any, under label; poly is
+        consumed."""
         coeffs = {}
-        while not poly.is_zero:
-            lead = poly.leading()
+        while poly:
+            lead = max(poly, key=_mono_key)
             row = lead_rows.get(lead)
             if row is None:
                 row = lead_rows[lead] = len(basis)
-                basis.append(poly if poly.terms[lead] > 0 else poly.scaled(-1))
+                sign = 1 if poly[lead] > 0 else -1
+                basis.append({mono: sign * c for mono, c in poly.items()})
                 labels.append(label)
             b = basis[row]
-            c = poly.terms[lead] / b.terms[lead]
+            c = Fraction(poly[lead]) / b[lead]
             coeffs[row] = c
-            poly = poly.combine(b, -c)
+            _add_into(poly, -c, b)
         return coeffs
 
     for k in range(1, m + 1):
-        express(
-            CoordinatePolynomial.coordinate(m, k), _coordinate_label(presentation, k)
-        )
-    express(CoordinatePolynomial.constant(m), "1")
+        express({p.generator(k): 1}, _coordinate_label(p, k))
+    express({p.identity(): 1}, "1")
 
     rows = {}  # (source index, generator) -> coefficient dict
     idx = 0
     while idx < len(basis):
         f = basis[idx]
+        top = _wdeg(f, weights)
         for k in range(1, m + 1):
-            moved = _translate(f, presentation.generator(k), presentation)
+            moved = _translate(
+                lambda h: _newton_value(f, h, top), top,
+                p.inverse(p.generator(k)), p,
+            )
             rows[(idx, k)] = express(moved, f"q{len(basis) - m}")
         idx += 1
 
@@ -318,7 +321,7 @@ def function_module(presentation):
         )
         for k in range(1, m + 1)
     }
-    return FunctionModule(presentation, basis, labels, matrices)
+    return FunctionModule(p, [_monomials(m, f) for f in basis], labels, matrices)
 
 
 def _coordinate_label(presentation, k):

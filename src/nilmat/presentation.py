@@ -11,10 +11,16 @@ and collection always pushes material rightward.
 Multiplication collects whole powers at once (with binary splitting of
 conjugation exponents), so exponents around 10^6 cost log, not linear,
 work.
+
+The module also holds the Newton calculus that both embeddings share:
+lower sets of exponent tuples (_lower_set), binomials C(a, e) of any
+integer a (_binomials), and iterated forward differences over a lower
+set (_differences).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .distortion import GuardError, _check_positions
@@ -23,9 +29,7 @@ from .matgroup import (
     _entry_from_json,
     _list_from_json,
     binary_power,
-    commutator,
     elementary,
-    malcev_coordinates,
 )
 
 __all__ = [
@@ -49,9 +53,11 @@ class NilpotentPresentation:
     positions/ambient_n optionally record a faithful realization by
     elementary integer matrices, used for cross-checking.
 
-    M, weights, relation keys and word entries must be integers (or
+    relations may also be an iterable of ((j, i), word) pairs.  M,
+    weights, relation keys and word entries must be integers (or
     decimal strings); a float or a boolean raises ValueError instead of
-    being truncated.
+    being truncated, and a key (j, i) given twice, once its entries are
+    read as integers, raises ValueError even when a word is zero.
     """
 
     def __init__(self, M, weights, relations, label=None, positions=None,
@@ -62,11 +68,15 @@ class NilpotentPresentation:
         weights = tuple(map(_entry_from_json, weights))
         if len(weights) != M or any(w < 1 for w in weights):
             raise ValueError("weights must be M positive integers")
-        rel = {}
-        for key, word in relations.items():
+        rel, seen = {}, set()
+        items = relations.items() if hasattr(relations, "items") else relations
+        for key, word in items:
             j, i = map(_entry_from_json, key)
             if not (1 <= i < j <= M):
                 raise ValueError(f"bad relation key ({j}, {i})")
+            if (j, i) in seen:
+                raise ValueError(f"duplicate relation key ({j}, {i})")
+            seen.add((j, i))
             word = tuple(map(_entry_from_json, word))
             if len(word) != M:
                 raise ValueError(f"relation ({j}, {i}) word has wrong length")
@@ -250,6 +260,36 @@ def _lower_set(weights, top):
             yield (e,) + tail
 
 
+@lru_cache(maxsize=1024)
+def _binomials(a, top):
+    """C(a, 0) .. C(a, top) for any integer a; for a >= 0 the tuple
+    stops at C(a, a), past which they vanish."""
+    out = [1]
+    for e in range(1, top + 1 if a < 0 else min(a, top) + 1):
+        out.append(out[-1] * (a - e + 1) // e)
+    return tuple(out)
+
+
+def _differences(table, step):
+    """Iterated forward differences, in place, of the values table holds
+    on a lower set of exponent tuples: table[m] becomes Delta^m f(0) for
+    the function f that table held on entry.  step(a, b) is a - b, and
+    may update a in place: along each axis the points are visited
+    deepest first, so the point below still holds the previous level's
+    value when it is read."""
+    for k in range(len(next(iter(table)))):
+        pairs = sorted(
+            ((m, m[:k] + (m[k] - 1,) + m[k + 1:]) for m in table if m[k]),
+            key=lambda pair: -pair[0][k],
+        )
+        for level in range(1, pairs[0][0][k] + 1 if pairs else 1):
+            for m, below in pairs:
+                if m[k] < level:
+                    break
+                table[m] = step(table[m], table[below])
+    return table
+
+
 def relation_failures(p, images):
     """Check that the generator images images[k-1] of x_k respect the
     presentation.
@@ -303,7 +343,9 @@ def builtin(name):
 
     * ``ut:m`` or ``ut:m:scheme``: all elementary positions of the m x m
       unitriangular group, ordered by the named PositionBasis flavor,
-      relations read off the matrices themselves.
+      with the relations of elementary matrices in closed form:
+      [s_kl, s_lj] = s_kj and [s_kl, s_ik] = s_il^-1, every other pair
+      commuting.
     * ``heisenberg:n``: 2n+1 generators, [x_{n+i}, x_i] = x_{2n+1}^-1,
       realized inside the (n+2) x (n+2) unitriangular group.
     * ``freenil23``: rank-2 class-3 free nilpotent group on the Hall
@@ -323,16 +365,17 @@ def builtin(name):
         _check_relation_entries(name, comb(m, 3), m * (m - 1) // 2)
         flavor = parts[2] if len(parts) == 3 else "lcs-standard"
         basis = PositionBasis(m, flavor)
-        gens = [elementary(m, i, j) for i, j in basis.positions]
+        at = {pos: t for t, pos in enumerate(basis.positions)}
         rels = {}
-        for j in range(2, len(gens) + 1):
-            for i in range(1, j):
-                c = commutator(gens[j - 1], gens[i - 1])
-                if not c.is_identity:
-                    rels[(j, i)] = malcev_coordinates(c, basis)
+        # [s_kl, s_lb] = s_kb and [s_kl, s_ak] = s_al^-1; the rest commute
+        for j, (k, l) in enumerate(basis.positions, 1):
+            for i, (a, b) in enumerate(basis.positions[:j - 1], 1):
+                if l == a or b == k:
+                    t, e = (at[(k, b)], 1) if l == a else (at[(a, l)], -1)
+                    rels[(j, i)] = tuple(e * (s == t) for s in range(len(at)))
         label = f"ut:{m}" if flavor == "lcs-standard" else f"ut:{m}:{flavor}"
         return NilpotentPresentation(
-            len(gens), basis.weights, rels, label=label,
+            len(at), basis.weights, rels, label=label,
             positions=basis.positions, ambient_n=m,
         )
     if kind == "heisenberg":
@@ -395,8 +438,8 @@ def presentation_to_json(p):
 def presentation_from_json(obj):
     """Inverse of presentation_to_json.  ValueError on malformed input,
     including positions that are not M pairs 1 <= i < j <= ambient_n
-    and a relation key (j, i) given twice, once its entries are read as
-    integers.  GuardError for an ambient_n whose N(N-1)/2 exceeds
+    and a relation key (j, i) given twice (NilpotentPresentation refuses
+    it).  GuardError for an ambient_n whose N(N-1)/2 exceeds
     MAX_POSITIONS (so N <= 724), before any matrix is built: the
     realization's matrices (validate(deep=True)) have that size."""
     try:
@@ -408,7 +451,7 @@ def presentation_from_json(obj):
         ambient_n = obj.get("ambient_n")
     except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"malformed presentation object: {exc}") from exc
-    rels = {}
+    rels = []
     for item in raw:
         try:
             word = _list_from_json(item["word"], "relation word")
@@ -417,9 +460,7 @@ def presentation_from_json(obj):
             )
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed relation entry: {exc}") from exc
-        if key in rels:
-            raise ValueError(f"duplicate relation key {key}")
-        rels[key] = tuple(word)
+        rels.append((key, word))
     if positions is not None or ambient_n is not None:
         ambient_n = _entry_from_json(ambient_n, "ambient_n")
         if not isinstance(positions, list) or len(positions) != M:

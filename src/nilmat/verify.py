@@ -133,7 +133,7 @@ def check_freenil_image():
 
 def check_function_module_ut():
     details = []
-    for m in (3, 4):
+    for m in (3, 4, 5):
         p = builtin(f"ut:{m}:scheme")
         module = function_module(p)
         wanted_dim = m * (m - 1) // 2 + 1

@@ -20,7 +20,14 @@ import pytest
 from nilmat import presentation
 from nilmat.distortion import GuardError
 from nilmat.jennings import jennings_embedding
-from nilmat.matgroup import UnitriangularMatrix, identity
+from nilmat.matgroup import (
+    PositionBasis,
+    UnitriangularMatrix,
+    commutator,
+    elementary,
+    identity,
+    malcev_coordinates,
+)
 from nilmat.presentation import (
     NilpotentPresentation,
     builtin,
@@ -272,6 +279,38 @@ def test_builtin_rejects_bad_selectors():
             builtin(bad)
     # the degenerate 2 x 2 case is allowed and is just the integers
     assert builtin("ut:2").M == 1
+
+
+@pytest.mark.parametrize("flavor", PositionBasis.FLAVORS)
+@pytest.mark.parametrize("m", range(2, 9))
+def test_builtin_ut_relations_match_matrix_commutators(m, flavor):
+    # oracle: each pair's matrix commutator, peeled into Malcev
+    # coordinates over the same position basis
+    basis = PositionBasis(m, flavor)
+    gens = [elementary(m, i, j) for i, j in basis.positions]
+    want = {}
+    for j in range(2, len(gens) + 1):
+        for i in range(1, j):
+            c = commutator(gens[j - 1], gens[i - 1])
+            if not c.is_identity:
+                want[(j, i)] = malcev_coordinates(c, basis)
+    name = f"ut:{m}" if flavor == "lcs-standard" else f"ut:{m}:{flavor}"
+    p = builtin(name)
+    assert p.relations == want
+    assert p.positions == basis.positions and p.weights == basis.weights
+
+
+@pytest.mark.parametrize("relations", [
+    {(2, 1): (0, 0, 1), ("2", 1): (0, 0, -5)},
+    {(2, 1): (0, 0, 1), ("2", 1): (0, 0, 0)},
+    {(2, 1): (0, 0, 0), (2, "1"): (0, 0, 1)},
+    [((2, 1), (0, 0, 1)), ((2, 1), (0, 0, -5))],
+])
+def test_constructor_rejects_duplicate_relation_keys(relations):
+    # a key repeated once its entries are read as integers is refused,
+    # also when one of its words is zero, instead of one word winning
+    with pytest.raises(ValueError, match=r"^duplicate relation key \(2, 1\)$"):
+        NilpotentPresentation(3, (1, 1, 2), relations)
 
 
 def test_builtin_size_cap(monkeypatch):

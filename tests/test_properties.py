@@ -4,15 +4,20 @@ brute-force minimum, collection against matrix products, presentation
 JSON against itself, membership certificates against the product
 they certify, subgroup depth against the series of the slots, the Lie
 side's strata and degree against strata read off the standardized
-slots with the group-side depth oracle, and the CLI's exit code 1 on
-malformed subgroup JSON."""
+slots with the group-side depth oracle, the CLI's exit code 1 on
+malformed subgroup JSON, and the Newton calculus both embeddings share
+(binomials, lower-set differences, Newton-to-monomial expansion)
+against falling factorials and signed binomial sums."""
 
 import contextlib
 import io
 import json
+import operator
 import os
 import tempfile
+from fractions import Fraction
 from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -40,8 +45,12 @@ from nilmat.matgroup import (  # noqa: E402
     level_weight,
     matrix_to_json,
 )
+from nilmat.nickel import _monomials  # noqa: E402
 from nilmat.presentation import (  # noqa: E402
     NilpotentPresentation,
+    _binomials,
+    _differences,
+    _lower_set,
     builtin,
     evaluate_coords,
     presentation_from_json,
@@ -295,3 +304,59 @@ def test_malformed_subgroup_json_exits_1(payload):
     assert rc == 1 and out.getvalue() == ""
     assert err.getvalue().startswith("nilmat: error:")
     assert "Traceback" not in err.getvalue()
+
+
+def falling_binomial(a, e):
+    """C(a, e) as the falling factorial a (a - 1) ... (a - e + 1) / e!."""
+    return Fraction(prod(range(a - e + 1, a + 1)), factorial(e))
+
+
+@fast
+@given(st.integers(-20, 20), st.integers(0, 12))
+def test_binomials_are_falling_factorials(a, top):
+    got = _binomials(a, top)
+    want = [falling_binomial(a, e) for e in range(top + 1)]
+    # for a >= 0 the tuple stops at C(a, a), past which they vanish
+    assert len(got) == (top + 1 if a < 0 else min(a, top) + 1)
+    assert list(got) == want[:len(got)] and not any(want[len(got):])
+
+
+@st.composite
+def lower_set_tables(draw):
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    points = list(_lower_set(weights, draw(st.integers(0, 6))))
+    values = draw(st.lists(
+        st.integers(-50, 50), min_size=len(points), max_size=len(points)
+    ))
+    return dict(zip(points, values))
+
+
+@fast
+@given(lower_set_tables())
+def test_differences_are_signed_binomial_sums(table):
+    f = dict(table)
+    got = _differences(table, operator.sub)
+    for m in f:
+        want = sum(
+            (-1) ** (sum(m) - sum(j)) * prod(map(comb, m, j)) * f[j]
+            for j in product(*(range(e + 1) for e in m))
+        )
+        assert got[m] == want, m
+
+
+@fast
+@given(st.data())
+def test_monomials_evaluate_to_the_newton_sum(data):
+    n = data.draw(st.integers(1, 3))
+    coeffs = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * n),
+        st.fractions(-5, 5, max_denominator=4).filter(bool),
+        max_size=5,
+    ))
+    poly = _monomials(n, coeffs)
+    for _ in range(3):
+        h = data.draw(st.tuples(*[st.integers(-6, 6)] * n))
+        want = sum(
+            c * prod(map(falling_binomial, h, m)) for m, c in coeffs.items()
+        )
+        assert poly.evaluate(h) == want
