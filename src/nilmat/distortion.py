@@ -17,10 +17,11 @@ jennings.image_degree and the ordering surveys, never standardize.
 distortion_degree standardizes to print slot witnesses beside the same
 strata.  Any generating set gives the same series, so
 distortion_degree and subgroup_depth both build it, through one cache,
-from whichever of the input generators and the standardized slots is
-the shorter list.  The group-side series (lower_central_gens,
-commutators of the generators) serves only the independent oracle
-depth_by_powers.
+from what they are given: the input generators of a SubgroupGens,
+whose independent logarithms are never more than the slots, or the
+slots of a StandardizedSequence.  The group-side series
+(lower_central_gens, commutators of the generators) serves only the
+independent oracle depth_by_powers.
 
 Everything is exact.  Searches that could blow up (brute-force word
 enumeration, metric balls) take explicit bounds and raise GuardError
@@ -37,12 +38,13 @@ from itertools import accumulate, combinations, product
 from math import gcd, lcm
 
 from .matgroup import (
+    RationalNilpotentMatrix,
     UnitriangularMatrix,
     _add_into,
+    _build,
     _entry_from_json,
     _lead,
     _log_numerator,
-    _nilpotent,
     binary_power,
     commutator,
     elementary,
@@ -465,7 +467,7 @@ def _primitive(m):
     g = gcd(*(e for r in rows for e in r.values()))
     if g > 1:
         rows = [{j: e // g for j, e in r.items()} for r in rows]
-    return _nilpotent(m.n, rows), {
+    return _build(RationalNilpotentMatrix, m.n, rows), {
         (j - i, i): e for i, r in enumerate(rows) for j, e in r.items()
     }
 
@@ -615,18 +617,15 @@ def lie_span(mats, n=None):
 
 
 @lru_cache(maxsize=128)
-def _series(n, generators):
-    return lie_span(generators, n)
-
-
-def _lie_series(sub, seq):
-    """The subgroup's Lie series, from the input generators of a
-    SubgroupGens with fewer generators than slots, and from the slots
-    otherwise; keyed by the list, so subgroups that standardize to the
-    same slots share one series."""
-    if isinstance(sub, SubgroupGens) and len(sub.generators) < len(seq):
-        return _series(sub.n, sub.generators)
-    return _series(seq.n, seq.slots)
+def _series(sub):
+    """The subgroup's Lie series: from the input generators of a
+    SubgroupGens, and from the slots of a StandardizedSequence.  The
+    generators never cost more brackets: their W_1 is an independent
+    subset of at most min(G, h) of them, against all h slots, whose
+    leads are distinct."""
+    if isinstance(sub, SubgroupGens):
+        return lie_span(sub.generators, sub.n)
+    return lie_span(sub.slots, sub.n)
 
 
 def subgroup_depth(h, sub):
@@ -635,17 +634,16 @@ def subgroup_depth(h, sub):
     The largest k such that some positive power of h lies in the k-th
     lower central subgroup; by the Malcev correspondence, the largest k
     with log(h) in L_k, the k-th lower central term of the Lie algebra
-    generated by the logarithms of the slots, or of the input
-    generators when those are fewer (see distortion_degree).
-    depth_by_powers checks this on the group side.  Raises ValueError
-    for the identity (unbounded) and for nonmembers.
+    generated by the logarithms of a SubgroupGens' input generators or
+    of a StandardizedSequence's slots (see _series).  depth_by_powers
+    checks this on the group side.  Raises ValueError for the identity
+    (unbounded) and for nonmembers.
     """
-    seq = _as_sequence(sub)
     if h.is_identity:
         raise ValueError("identity has unbounded depth")
-    if member_certificate(h, seq) is None:
+    if member_certificate(h, _as_sequence(sub)) is None:
         raise ValueError("element is not a member of the subgroup")
-    return _lie_series(sub, seq).depth(h)
+    return _series(sub).depth(h)
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
@@ -701,14 +699,15 @@ def distortion_degree(sub):
     slot at level >= m of depth t, and the report's witness that of the
     first stratum attaining the degree.  The slots' depths are read off
     the series, taking each slot's logarithm once; every slot is a
-    member, so no membership check is made.  For a SubgroupGens with
-    fewer generators than slots the series is built from the
-    generators, which needs fewer brackets, and otherwise from the
-    slots (see _lie_series).  Raises RuntimeError when no slot
-    witnesses a stratum, which would mean the two sides disagree.
+    member, so no membership check is made.  The series of a
+    SubgroupGens is built from its input generators, never more
+    brackets than its slots would cost, and that of a
+    StandardizedSequence from its slots (see _series).  Raises
+    RuntimeError when no slot witnesses a stratum, which would mean the
+    two sides disagree.
     """
     seq = _nontrivial_sequence(sub)
-    span = _lie_series(sub, seq)
+    span = _series(sub)
     slots = [(l, span.depth(s), s) for l, s in zip(seq.levels, seq.slots)]
     strata = []
     for m, t in span.strata():

@@ -20,7 +20,7 @@ from .matgroup import (
     RationalSquareMatrix,
     UnitriangularMatrix,
     _add_into,
-    _wrap,
+    _build,
     level_weight,
     matrix_to_json,
 )
@@ -190,7 +190,7 @@ class JenningsBasis:
         place (presentation._differences).  Returns a
         UnitriangularMatrix, whose sparse entries are these rows less the
         diagonal, when the basis order supports it, otherwise a
-        RationalSquareMatrix carrying the same integer entries.
+        RationalSquareMatrix holding these rows.
         """
         p = self.presentation
         coords = tuple(coords)
@@ -210,11 +210,8 @@ class JenningsBasis:
         ):
             for i, row in enumerate(rows):
                 del row[i]
-            return _wrap(d, rows)
-        cols = range(d)
-        return RationalSquareMatrix(
-            [[row.get(j, 0) for j in cols] for row in rows]
-        )
+            return _build(UnitriangularMatrix, d, rows)
+        return _build(RationalSquareMatrix, d, rows)
 
     def action_matrix(self, k):
         """element_matrix of the k-th generator (1-based)."""
@@ -248,13 +245,15 @@ def jennings_embedding(presentation, order="weight-lex", truncation=None):
 def _embedding_result(presentation, gens, ordering, basis):
     """The EmbeddingResult of both constructions.  It is unitriangular
     when every generator image is a UnitriangularMatrix; otherwise every
-    image is carried as a RationalSquareMatrix.  relators_ok comes from
-    relation_failures on the images."""
+    image is carried as a RationalSquareMatrix, a unitriangular one
+    with its unit diagonal added to its entries.  relators_ok comes
+    from relation_failures on the images."""
     unitriangular = all(isinstance(g, UnitriangularMatrix) for g in gens)
     if not unitriangular:
         gens = [
-            RationalSquareMatrix(g.rows)
-            if isinstance(g, UnitriangularMatrix) else g
+            _build(RationalSquareMatrix, g.n, (
+                {i: 1, **r} for i, r in enumerate(g.entries)
+            )) if isinstance(g, UnitriangularMatrix) else g
             for g in gens
         ]
     return EmbeddingResult(

@@ -1,13 +1,18 @@
 """Exact arithmetic for integer unitriangular matrix groups.
 
 Matrices are immutable so they can serve as dict keys and set members.
-UnitriangularMatrix and RationalNilpotentMatrix share one storage: only
-the nonzero strictly-upper entries, one dict per row from 0-based
-column to value, with the dense rows built on demand; the level-major
-lead of a matrix is read off its row minima.  All arithmetic is exact:
-ints for group elements, fractions for matrix logarithms.  Positions
-are 1-based pairs (i, j) with i < j, matching the usual notation s_ij
-for an elementary matrix with a single off-diagonal entry.
+All three matrix classes share one storage (_SparseMatrix): only the
+nonzero entries, one dict per row from 0-based column to value, with
+the dense rows built on demand.  UnitriangularMatrix (group elements)
+and RationalNilpotentMatrix (Lie elements) keep the strictly-upper
+entries; RationalSquareMatrix, the carrier of embedding images that
+are not unitriangular, keeps the diagonal too.  Products of all three
+go row by row through one sparse kernel (_add_into), and the square
+inverse is Gauss-Jordan on dict rows.  The level-major lead of a
+matrix is read off its row minima.  All arithmetic is exact: ints for
+group elements, fractions for matrix logarithms.  Positions are
+1-based pairs (i, j) with i < j, matching the usual notation s_ij for
+an elementary matrix with a single off-diagonal entry.
 """
 
 from __future__ import annotations
@@ -36,21 +41,88 @@ __all__ = [
 ]
 
 
-class UnitriangularMatrix:
+class _SparseMatrix:
+    """Storage shared by the matrix classes: ``entries`` holds, per
+    row, a dict from 0-based column to each nonzero entry the class
+    keeps, never mutated, and the dense ``rows`` put _diagonal on the
+    diagonal besides them.  Immutable and hashable; equal when of one
+    class with equal entries."""
+
+    __slots__ = ("n", "entries")
+    _diagonal = 0
+
+    def _set(self, n, entries):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", tuple(entries))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def rows(self):
+        """The dense rows, as tuples."""
+        out = []
+        for i, r in enumerate(self.entries):
+            row = [0] * self.n
+            row[i] = self._diagonal
+            for j, e in r.items():
+                row[j] = e
+            out.append(tuple(row))
+        return tuple(out)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(frozenset(
+            (i, j, e) for i, r in enumerate(self.entries)
+            for j, e in r.items()
+        ))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(map(list, self.rows))!r})"
+
+
+def _build(cls, n, entries):
+    """A matrix of class cls from known-good sparse entries, skipping
+    validation."""
+    return object.__new__(cls)._set(n, entries)
+
+
+def _exact(e):
+    """An int stays an int; anything else becomes a Fraction."""
+    return e if type(e) is int else Fraction(e)
+
+
+def _sparse(rows):
+    """(n, entries) of square rows, keeping every nonzero entry as
+    _exact gives it; ValueError when the rows are not square."""
+    rows = tuple(rows)
+    n = len(rows)
+    entries = []
+    for row in rows:
+        row = tuple(row)
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        entries.append({j: _exact(e) for j, e in enumerate(row) if e})
+    return n, entries
+
+
+class UnitriangularMatrix(_SparseMatrix):
     """Upper triangular integer matrix with unit diagonal.
 
     Immutable and hashable.  Supports ``*``, ``**`` (any integer
     exponent), ``inverse()`` and 1-based ``entry(i, j)`` access.
 
-    Stored like RationalNilpotentMatrix: ``entries`` holds, per row, a
-    dict from 0-based column to the nonzero strictly-upper int entries,
-    never mutated, so N = m - I is ``entries`` itself.  Products and
-    inverses walk only these, and a product reuses the right factor's
-    row where the left factor's row is a unit row.  The dense ``rows``
-    are built on demand.
+    ``entries`` holds the nonzero strictly-upper int entries, so
+    N = m - I is ``entries`` itself.  Products and inverses walk only
+    these, and a product reuses the right factor's row where the left
+    factor's row is a unit row.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ()
+    _diagonal = 1
 
     def __init__(self, rows):
         rows = tuple(rows)
@@ -71,32 +143,11 @@ class UnitriangularMatrix:
                 if e:
                     nz[j] = e
             entries.append(nz)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitriangularMatrix is immutable")
-
-    @property
-    def rows(self):
-        """The dense rows, as tuples."""
-        return _dense(self.n, self.entries, 1)
+        self._set(n, entries)
 
     def entry(self, i, j):
         """Entry at 1-based position (i, j)."""
         return self.entries[i - 1].get(j - 1, int(i == j))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnitriangularMatrix)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(frozenset(
-            (i, j, e) for i, r in enumerate(self.entries)
-            for j, e in r.items()
-        ))
 
     def __mul__(self, other):
         if not isinstance(other, UnitriangularMatrix):
@@ -112,7 +163,7 @@ class UnitriangularMatrix:
                 for k, c in ai.items():
                     _add_into(bi, c, b[k])
             out.append(bi)
-        return _wrap(self.n, out)
+        return _build(UnitriangularMatrix, self.n, out)
 
     def inverse(self):
         """Group inverse, row by row from the bottom: the strictly-upper
@@ -127,7 +178,7 @@ class UnitriangularMatrix:
                 for k, c in ai.items():
                     _add_into(xi, -c, x[k])
                 x[i] = xi
-        return _wrap(self.n, x)
+        return _build(UnitriangularMatrix, self.n, x)
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -137,9 +188,6 @@ class UnitriangularMatrix:
     @property
     def is_identity(self):
         return not any(self.entries)
-
-    def __repr__(self):
-        return f"UnitriangularMatrix({list(map(list, self.rows))!r})"
 
 
 def binary_power(x, e, one, mul=operator.mul, inverse=None):
@@ -159,15 +207,6 @@ def binary_power(x, e, one, mul=operator.mul, inverse=None):
     return one if result is None else result
 
 
-def _wrap(n, entries):
-    """A unitriangular matrix from known-good sparse entries, skipping
-    validation."""
-    m = object.__new__(UnitriangularMatrix)
-    object.__setattr__(m, "n", n)
-    object.__setattr__(m, "entries", tuple(entries))
-    return m
-
-
 _IDENTITY_CACHE = {}
 
 
@@ -175,7 +214,7 @@ def identity(n):
     """The n x n identity."""
     m = _IDENTITY_CACHE.get(n)
     if m is None:
-        m = _IDENTITY_CACHE[n] = _wrap(n, ({},) * n)
+        m = _IDENTITY_CACHE[n] = _build(UnitriangularMatrix, n, ({},) * n)
     return m
 
 
@@ -188,7 +227,7 @@ def elementary(n, i, j, alpha=1):
     entries = [{}] * n
     if alpha:
         entries[i - 1] = {j - 1: alpha}
-    return _wrap(n, entries)
+    return _build(UnitriangularMatrix, n, entries)
 
 
 def commutator(a, b):
@@ -280,26 +319,18 @@ def malcev_coordinates(m, basis):
     """
     if m.n != basis.n:
         raise ValueError("size mismatch")
-    n = m.n
     # Left-multiplying by the inverse elementary is the row operation
-    # row_i -= a * row_j, touching columns >= j only.
-    work = [list(row) for row in m.rows]
+    # row_i -= a * row_j: it clears (i, j) and subtracts a * N_j.
+    work = [dict(r) for r in m.entries]
     coords = []
     for i, j in basis.positions:
-        a = work[i - 1][j - 1]
+        ri = work[i - 1]
+        a = ri.pop(j - 1, 0)
         coords.append(a)
         if a:
-            ri = work[i - 1]
-            rj = work[j - 1]
-            for c in range(j - 1, n):
-                ri[c] -= a * rj[c]
-    for i in range(n):
-        wi = work[i]
-        for j in range(i + 1, n):
-            if wi[j]:
-                raise ValueError(
-                    "peel did not terminate; basis order is invalid"
-                )
+            _add_into(ri, -a, work[j - 1])
+    if any(work):
+        raise ValueError("peel did not terminate; basis order is invalid")
     return tuple(coords)
 
 
@@ -316,12 +347,7 @@ def from_coordinates(coords, basis):
     return out
 
 
-def _exact(e):
-    """An int stays an int; anything else becomes a Fraction."""
-    return e if type(e) is int else Fraction(e)
-
-
-class RationalNilpotentMatrix:
+class RationalNilpotentMatrix(_SparseMatrix):
     """Strictly upper triangular matrix over the rationals.
 
     The Lie-algebra side of the package: closed under +, -, scalar
@@ -330,44 +356,20 @@ class RationalNilpotentMatrix:
     operation, so an integer-scaled matrix brackets without forming a
     Fraction.
 
-    Only nonzero entries are kept: ``entries`` holds, per row, a dict
-    from 0-based column to value, never mutated.  Every operation walks
-    only these; the dense ``rows`` are built on demand.
+    ``entries`` holds the nonzero strictly-upper entries, and every
+    operation walks only these.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ()
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(_exact, row)) for row in rows)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            if any(row[:i + 1]):
-                raise ValueError("entry on or below the diagonal")
-        entries = tuple({j: e for j, e in enumerate(r) if e} for r in rows)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalNilpotentMatrix is immutable")
-
-    @property
-    def rows(self):
-        """The dense rows, as tuples."""
-        return _dense(self.n, self.entries, 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalNilpotentMatrix)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(tuple(frozenset(r.items()) for r in self.entries))
+        n, entries = _sparse(rows)
+        if any(r and min(r) <= i for i, r in enumerate(entries)):
+            raise ValueError("entry on or below the diagonal")
+        self._set(n, entries)
 
     def __add__(self, other):
-        return _nilpotent(self.n, [
+        return _build(RationalNilpotentMatrix, self.n, [
             _add_into(dict(ra), 1, rb)
             for ra, rb in zip(self.entries, other.entries)
         ])
@@ -377,18 +379,20 @@ class RationalNilpotentMatrix:
 
     def scale(self, c):
         c = _exact(c)
-        return _nilpotent(self.n, [
+        return _build(RationalNilpotentMatrix, self.n, [
             {j: c * e for j, e in r.items() if c} for r in self.entries
         ])
 
     def __mul__(self, other):
         if not isinstance(other, RationalNilpotentMatrix):
             return NotImplemented
-        return _products(self.n, ((1, self, other),))
+        return _products(RationalNilpotentMatrix, ((1, self, other),))
 
     def bracket(self, other):
         """Lie bracket self*other - other*self, in one pass."""
-        return _products(self.n, ((1, self, other), (-1, other, self)))
+        return _products(
+            RationalNilpotentMatrix, ((1, self, other), (-1, other, self))
+        )
 
     @property
     def is_zero(self):
@@ -399,30 +403,6 @@ class RationalNilpotentMatrix:
         return tuple(
             e for i, row in enumerate(self.rows) for e in row[i + 1:]
         )
-
-    def __repr__(self):
-        return f"RationalNilpotentMatrix({list(map(list, self.rows))!r})"
-
-
-def _nilpotent(n, entries):
-    """A RationalNilpotentMatrix from known-good sparse entries."""
-    m = object.__new__(RationalNilpotentMatrix)
-    object.__setattr__(m, "n", n)
-    object.__setattr__(m, "entries", tuple(entries))
-    return m
-
-
-def _dense(n, entries, diagonal):
-    """Dense rows, as tuples, of the sparse strictly-upper entries with
-    the given value on the diagonal."""
-    out = []
-    for i, r in enumerate(entries):
-        row = [0] * n
-        row[i] = diagonal
-        for j, e in r.items():
-            row[j] = e
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _add_into(acc, c, row):
@@ -436,14 +416,16 @@ def _add_into(acc, c, row):
     return acc
 
 
-def _products(n, terms):
-    """The sum of sign * x * y over the (sign, x, y) in terms."""
+def _products(cls, terms):
+    """The matrix of class cls summing sign * x * y over the (sign, x,
+    y) in terms, row by row: row i of x * y is the sum of x_ik * y_k."""
+    n = terms[0][1].n
     out = [{} for _ in range(n)]
     for sign, x, y in terms:
         for acc, xi in zip(out, x.entries):
             for k, c in xi.items():
                 _add_into(acc, sign * c, y.entries[k])
-    return _nilpotent(n, out)
+    return _build(cls, n, out)
 
 
 def log_unipotent(m):
@@ -459,7 +441,7 @@ def _log_numerator(m):
     """(num, den) with log(m) == num / den: num is a nilpotent matrix
     with int entries and den a positive int, found without forming a
     Fraction."""
-    nil = _nilpotent(m.n, m.entries)
+    nil = _build(RationalNilpotentMatrix, m.n, m.entries)
     # num/den is the sum of (-1)^(i+1) N^i / i over i < k, and term N^k
     num, den = nil, 1
     term, k = nil * nil, 2
@@ -485,100 +467,63 @@ def exp_nilpotent(x):
         total = total + term
     if any(e.denominator != 1 for r in total.entries for e in r.values()):
         raise ValueError("exponential is not an integer matrix")
-    return _wrap(total.n, [
+    return _build(UnitriangularMatrix, total.n, [
         {j: int(e) for j, e in r.items()} for r in total.entries
     ])
 
 
-class RationalSquareMatrix:
+class RationalSquareMatrix(_SparseMatrix):
     """Square rational matrix with group arithmetic only.
 
     Representation images that fail the unitriangular shape still need
     multiplication, inversion, and powers for relator checks; this is
-    the minimal carrier for that.  Entries follow _exact, so integer
-    images multiply in ints, and inversion forms a Fraction only to
-    divide by a pivot other than 1 or -1.
+    the minimal carrier for that.  ``entries`` holds every nonzero
+    entry, the diagonal included, as _exact gives it, so integer images
+    multiply in ints, and the Gauss-Jordan inverse forms a Fraction only
+    to divide by a pivot other than 1 or -1.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ()
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(_exact, row)) for row in rows)
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalSquareMatrix is immutable")
+        self._set(*_sparse(rows))
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            tuple(
-                tuple(1 if i == j else 0 for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalSquareMatrix)
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash(self.rows)
+        return _build(cls, n, ({i: 1} for i in range(n)))
 
     def __mul__(self, other):
         if not isinstance(other, RationalSquareMatrix):
             return NotImplemented
-        n = self.n
-        b = other.rows
-        out = []
-        for i in range(n):
-            ai = self.rows[i]
-            row = [0] * n
-            for k in range(n):
-                c = ai[k]
-                if c:
-                    bk = b[k]
-                    for j in range(n):
-                        if bk[j]:
-                            row[j] += c * bk[j]
-            out.append(tuple(row))
-        return RationalSquareMatrix(out)
+        return _products(RationalSquareMatrix, ((1, self, other),))
 
     def inverse(self):
+        """Gauss-Jordan on the dict rows of [A | I], the identity in
+        columns n..2n-1: each column's pivot is the first row left with
+        a nonzero there, swapped into place."""
         n = self.n
-        a = [
-            list(row) + [1 if i == j else 0 for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
+        a = [{**r, n + i: 1} for i, r in enumerate(self.entries)]
         for col in range(n):
-            piv = next(
-                (r for r in range(col, n) if a[r][col]), None
-            )
+            piv = next((r for r in range(col, n) if col in a[r]), None)
             if piv is None:
                 raise ValueError("matrix is singular")
             a[col], a[piv] = a[piv], a[col]
-            pivot = a[col][col]
-            if pivot == -1:
-                a[col] = [-e for e in a[col]]
-            elif pivot != 1:
-                inv = 1 / Fraction(pivot)
-                a[col] = [e * inv for e in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [e - f * g for e, g in zip(a[r], a[col])]
-        return RationalSquareMatrix(tuple(tuple(row[n:]) for row in a))
+            row = a[col]
+            pivot = row[col]
+            if pivot != 1:
+                inv = -1 if pivot == -1 else 1 / Fraction(pivot)
+                row = a[col] = {j: e * inv for j, e in row.items()}
+            for r, other in enumerate(a):
+                if r != col and col in other:
+                    _add_into(other, -other[col], row)
+        return _build(RationalSquareMatrix, n, (
+            {j - n: e for j, e in r.items() if j >= n} for r in a
+        ))
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
         return binary_power(self, e, RationalSquareMatrix.identity(self.n))
-
-    def __repr__(self):
-        return f"RationalSquareMatrix({list(map(list, self.rows))!r})"
 
 
 def matrix_to_json(m):

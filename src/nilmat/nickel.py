@@ -40,9 +40,10 @@ from math import prod
 from .distortion import GuardError
 from .jennings import _embedding_result, _survey_record
 from .matgroup import (
-    RationalSquareMatrix as _RatMat,
+    RationalSquareMatrix,
     UnitriangularMatrix,
     _add_into,
+    _build,
 )
 from .presentation import _binomials, _differences, _lower_set
 
@@ -164,15 +165,12 @@ def _wdeg(terms, weights):
     )
 
 
-def _translate(value, top, ginv, p):
-    """Nonzero Newton coefficients of h -> value(h * ginv), for a
-    function value of weighted degree top, from its values on the lower
-    set S of exponents of weighted degree <= top; see the module
-    docstring for why S suffices."""
-    table = {
-        j: value(p.multiply(j, ginv))
-        for j in _lower_set(_relation_weights(p), top)
-    }
+def _translate(value, points, ginv, p):
+    """Nonzero Newton coefficients of h -> value(h * ginv) from its
+    values on points, the lower set S of exponents of weighted degree
+    <= top under the relation weights, top being the weighted degree
+    of value; see the module docstring for why S suffices."""
+    table = {j: value(p.multiply(j, ginv)) for j in points}
     _differences(table, operator.sub)
     return {m: c for m, c in table.items() if c}
 
@@ -246,8 +244,9 @@ def act(f, word, presentation):
     if len(word) != presentation.M:
         raise ValueError("exponent tuple has wrong length")
     p = presentation
-    top = _wdeg(f.terms, _relation_weights(p))
-    return _monomials(p.M, _translate(f.evaluate, top, p.inverse(word), p))
+    weights = _relation_weights(p)
+    points = _lower_set(weights, _wdeg(f.terms, weights))
+    return _monomials(p.M, _translate(f.evaluate, points, p.inverse(word), p))
 
 
 def function_module(presentation):
@@ -301,13 +300,16 @@ def function_module(presentation):
     express({p.identity(): 1}, "1")
 
     rows = {}  # (source index, generator) -> coefficient dict
+    lower_sets = {}  # weighted degree -> the points of its S
     idx = 0
     while idx < len(basis):
         f = basis[idx]
         top = _wdeg(f, weights)
+        if top not in lower_sets:
+            lower_sets[top] = list(_lower_set(weights, top))
         for k in range(1, m + 1):
             moved = _translate(
-                lambda h: _newton_value(f, h, top), top,
+                lambda h: _newton_value(f, h, top), lower_sets[top],
                 p.inverse(p.generator(k)), p,
             )
             rows[(idx, k)] = express(moved, f"q{len(basis) - m}")
@@ -349,29 +351,46 @@ def declared_ordering(module):
     return tuple(module.labels[k] for k in order) + ("1",)
 
 
-def _permuted(matrix, perm, entry):
-    return tuple(tuple(entry(matrix[r][c]) for c in perm) for r in perm)
-
-
-def _support(matrices):
-    """Ordering-free facts about the generator matrices: whether they
-    are all integral with unit diagonal, and the support digraph, an
-    edge i -> j for each nonzero off-diagonal entry (i, j).  A basis
-    order gives integral unitriangular images exactly when the first
-    holds and the order is a linear extension of the digraph."""
+def _support(module):
+    """The module's generator matrices as sparse rows, column -> nonzero
+    entry, with ordering-free facts about them: whether they are all
+    integral with unit diagonal (shaped; their entries are then ints),
+    and the support digraph, an edge i -> j for each nonzero
+    off-diagonal entry (i, j).  A basis order gives integral
+    unitriangular images exactly when they are shaped and the order is
+    a linear extension of the digraph."""
+    base = [
+        [{j: e for j, e in enumerate(row) if e} for row in module.matrices[k]]
+        for k in range(1, module.presentation.M + 1)
+    ]
     shaped = all(
-        row[i] == 1 and all(e.denominator == 1 for e in row)
-        for mat in matrices
+        row.get(i) == 1 and all(e.denominator == 1 for e in row.values())
+        for mat in base
         for i, row in enumerate(mat)
     )
+    if shaped:
+        base = [
+            [{j: int(e) for j, e in row.items()} for row in mat]
+            for mat in base
+        ]
     edges = {
-        (i, j)
-        for mat in matrices
-        for i, row in enumerate(mat)
-        for j, e in enumerate(row)
-        if e and i != j
+        (i, j) for mat in base for i, row in enumerate(mat) for j in row
+        if i != j
     }
-    return shaped, edges
+    return base, shaped, edges
+
+
+def _permuted(mat, perm, hit):
+    """The generator matrix with sparse rows mat in the basis order perm:
+    for a hit a UnitriangularMatrix, whose entries leave out the unit
+    diagonal, otherwise a RationalSquareMatrix."""
+    pos = {i: r for r, i in enumerate(perm)}
+    rows = [{pos[j]: e for j, e in mat[i].items()} for i in perm]
+    if not hit:
+        return _build(RationalSquareMatrix, len(rows), rows)
+    for r, row in enumerate(rows):
+        del row[r]
+    return _build(UnitriangularMatrix, len(rows), rows)
 
 
 def _extends(perm, edges):
@@ -401,12 +420,9 @@ def nickel_embedding(presentation, ordering=None):
         raise ValueError("ordering is not a permutation of basis labels")
     index = {lab: i for i, lab in enumerate(module.labels)}
     perm = [index[lab] for lab in ordering]
-    base = [module.matrices[k] for k in range(1, presentation.M + 1)]
-    shaped, edges = _support(base)
-    if shaped and _extends(perm, edges):
-        gens = [UnitriangularMatrix(_permuted(m, perm, int)) for m in base]
-    else:
-        gens = [_RatMat(_permuted(m, perm, Fraction)) for m in base]
+    base, shaped, edges = _support(module)
+    hit = shaped and _extends(perm, edges)
+    gens = [_permuted(mat, perm, hit) for mat in base]
     return _embedding_result(presentation, gens, ordering, module)
 
 
@@ -433,15 +449,10 @@ def ordering_search(module, mode="exhaustive"):
             f"this module has dimension {dim}"
         )
     labels = module.labels
-    base = [module.matrices[k] for k in range(1, module.presentation.M + 1)]
-    shaped, edges = _support(base)
-    if shaped:  # the hits' images are integral: convert the entries once
-        base = [_permuted(m, range(dim), int) for m in base]
+    base, shaped, edges = _support(module)
 
     def record(perm, hit):
-        unis = [
-            UnitriangularMatrix(_permuted(m, perm, int)) for m in base
-        ] if hit else None
+        unis = [_permuted(mat, perm, True) for mat in base] if hit else None
         return _survey_record(tuple(labels[i] for i in perm), unis)
 
     if mode == "report-first":

@@ -184,7 +184,7 @@ def test_ambient_n_cap_exit_3(capsys, tmp_path, monkeypatch):
                 "positions; the cap is 262144" in err
 
 
-# sha256 of stdout per command line; the two permuted embeddings take
+# sha256 of stdout per command line; the three permuted embeddings take
 # the RationalSquareMatrix path
 PINNED_STDOUT = {
     "orderings-nickel-heisenberg2-exhaustive": (
@@ -214,6 +214,11 @@ PINNED_STDOUT = {
     "embed-nickel-ut3-permuted": (
         ("embed", "nickel", "ut:3", "--order", "1,t12,t13,t23"),
         "4ae074ad6fcdd6f0efca9b86ce4ba3e168c4db234f1204730e62f4b3462d9d8d",
+    ),
+    "embed-jennings-ut4-reversed": (
+        ("embed", "jennings", "ut:4", "--order",
+         ",".join(map(str, range(28, -1, -1)))),
+        "ee046d9aab321a22d995cda187d8abbe0411375423a3459673d16fa56d04aa8c",
     ),
 }
 

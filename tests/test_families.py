@@ -5,9 +5,12 @@ inputs, pinned so that a change to any layer that moves one shows up:
 the Jennings (weight-lex, default truncation) and Nickel (declared
 order) images of heisenberg:n, the Jennings image of ut:6, whose
 624 x 624 generators make it the largest image the engine measures,
-the weight-lex Jennings degree past the default truncation, and the
-undistorted scheme-perturbed images of ut:5:scheme and ut:6:scheme."""
+the weight-lex Jennings degree past the default truncation, the
+undistorted scheme-perturbed images of ut:5:scheme and ut:6:scheme,
+and the reversed Jennings order of ut:5, whose non-unitriangular
+images still satisfy the relations."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,3 +72,14 @@ def test_scheme_perturbed_ut_is_undistorted(m, d):
     assert res.unitriangular and res.relators_ok
     assert image_weights(res) == tuple(j - i for i, j in p.positions)
     assert image_degree(res) == 1
+
+
+def test_reversed_ut5_jennings_images_keep_the_relations():
+    # no linear extension: the images are square matrices on sparse
+    # rows, whose relator check is quick
+    start = time.perf_counter()
+    res = jennings_embedding(builtin("ut:5"), order=tuple(range(132))[::-1])
+    elapsed = time.perf_counter() - start
+    assert res.d == 132
+    assert not res.unitriangular and res.relators_ok
+    assert elapsed < 0.5

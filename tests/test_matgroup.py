@@ -201,7 +201,11 @@ def test_rational_square_matrix_keeps_int_entries():
     h = RationalSquareMatrix(((2, 1), (0, 1))).inverse()
     assert h.rows == ((Fraction(1, 2), Fraction(-1, 2)), (0, 1))
     assert float not in types(h)
-    assert types(RationalSquareMatrix(((Fraction(3), 0.5),))) == {Fraction}
+    m = RationalSquareMatrix(((Fraction(3), 0.5), (0.25, Fraction(1))))
+    assert types(m) == {Fraction}
+    assert m.rows[0][1] == Fraction(1, 2)
+    with pytest.raises(ValueError, match="matrix is not square"):
+        RationalSquareMatrix(((Fraction(3), 0.5),))
 
 
 def test_matrix_json_roundtrip_keeps_big_integers():

@@ -5,9 +5,11 @@ JSON against itself, membership certificates against the product
 they certify, subgroup depth against the series of the slots, the Lie
 side's strata and degree against strata read off the standardized
 slots with the group-side depth oracle, the CLI's exit code 1 on
-malformed subgroup JSON, and the Newton calculus both embeddings share
+malformed subgroup JSON, the Newton calculus both embeddings share
 (binomials, lower-set differences, Newton-to-monomial expansion)
-against falling factorials and signed binomial sums."""
+against falling factorials and signed binomial sums, and the sparse
+square matrices' product, power and inverse against dense Fraction
+products and the adjugate."""
 
 import contextlib
 import io
@@ -37,6 +39,7 @@ from nilmat.distortion import (  # noqa: E402
     subgroup_depth,
 )
 from nilmat.matgroup import (  # noqa: E402
+    RationalSquareMatrix,
     UnitriangularMatrix,
     _lead,
     elementary,
@@ -65,8 +68,8 @@ fast = settings(max_examples=60, deadline=None, derandomize=True,
 
 
 @st.composite
-def unitriangular(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
+def unitriangular(draw, max_n=10, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if cells:
@@ -360,3 +363,105 @@ def test_monomials_evaluate_to_the_newton_sum(data):
             c * prod(map(falling_binomial, h, m)) for m, c in coeffs.items()
         )
         assert poly.evaluate(h) == want
+
+
+def dense_mul(a, b):
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def det(a):
+    """Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * e * det([r[:j] + r[j + 1:] for r in a[1:]])
+        for j, e in enumerate(a[0]) if e
+    )
+
+
+def adjugate_inverse(a):
+    """adj(a) / det(a), or None when a is singular."""
+    d = det(a)
+    if not d:
+        return None
+    n = len(a)
+    return [
+        [
+            Fraction((-1) ** (i + j) * det(
+                [r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j]
+            )) / d
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def square_pairs(draw):
+    """(kind, a, b): two n x n matrices, n <= 6, of one kind.
+    "permuted": integer unitriangular matrices conjugated by one
+    permutation, as a basis order that is no linear extension makes
+    them; "rational": general rational matrices; "singular": rational
+    ones whose first has one row a multiple of another (a zero row
+    when n = 1)."""
+    kind = draw(st.sampled_from(["permuted", "rational", "singular"]))
+    n = draw(st.integers(1, 6))
+    if kind == "permuted":
+        perm = draw(st.permutations(range(n)))
+
+        def one():
+            u = draw(unitriangular(n, n))
+            return [[u.rows[r][c] for c in perm] for r in perm]
+    else:
+        entry = st.one_of(
+            st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)
+        )
+        square = st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+
+        def one():
+            return draw(square)
+    a, b = one(), one()
+    if kind == "singular":
+        if n == 1:
+            a = [[0]]
+        else:
+            k, l = draw(st.permutations(range(n)))[:2]
+            c = draw(entry)
+            a[k] = [c * e for e in a[l]]
+    return kind, a, b
+
+
+@fast
+@given(square_pairs(), st.integers(-3, 3))
+def test_square_matrices_match_dense_fractions(case, e):
+    kind, a, b = case
+    x, y = RationalSquareMatrix(a), RationalSquareMatrix(b)
+    n = len(a)
+
+    def dense(m):
+        return [list(r) for r in m.rows]
+
+    assert dense(x * y) == dense_mul(a, b)
+    inv = adjugate_inverse(a)
+    if inv is None:
+        assert kind != "permuted"
+        with pytest.raises(ValueError, match="singular"):
+            x.inverse()
+        with pytest.raises(ValueError, match="singular"):
+            x ** min(e, -1)
+    else:
+        assert kind != "singular"
+        assert dense(x.inverse()) == inv
+        want = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(abs(e)):
+            want = dense_mul(want, a if e >= 0 else inv)
+        assert dense(x ** e) == want
+    if kind == "permuted":
+        for m in (x * y, x ** e, x.inverse()):
+            assert all(type(v) is int for row in m.rows for v in row)
