@@ -557,6 +557,24 @@ class LieAlgebraSpan:
             for _, vec in layers[k - 1]:
                 _insert(self._rows, vec, k)
 
+    def permuted(self, sigma):
+        """The series of the generators conjugated by the permutation
+        taking index i to sigma[i], with no bracket taken, for a sigma
+        keeping them upper triangular: each row is re-keyed from
+        (j - i, i) to (sigma[j] - sigma[i], sigma[i]) and re-inserted,
+        deepest tag first, so the rows tagged >= k span the conjugate
+        of L_k."""
+        span = object.__new__(LieAlgebraSpan)
+        span.n = self.n
+        span._rows = {}
+        span._primitives = {}
+        for vec, tag in sorted(self._rows.values(), key=lambda r: -r[1]):
+            _insert(span._rows, {
+                (sigma[l + i] - sigma[i], sigma[i]): e
+                for (l, i), e in vec.items()
+            }, tag)
+        return span
+
     def _expand(self, mat):
         vec = (self._primitives.get(mat) or _primitive(mat))[1]
         return _reduce(self._rows, vec)

@@ -27,6 +27,7 @@ from .matgroup import (
 from .presentation import (
     _binomials,
     _differences,
+    _grid,
     _lower_set,
     relation_failures,
 )
@@ -197,7 +198,10 @@ class JenningsBasis:
         monomials = self.monomials
         # sparse rows, column -> nonzero int
         table = {r: self._expand(p.multiply(r, coords)) for r in monomials}
-        _differences(table, lambda a, b: _add_into(a, -1, b))
+        _differences(
+            table, lambda a, b: _add_into(a, -1, b),
+            _grid(p.weights, self.cutoff),
+        )
         # rebuilt rather than negated in place: the matrix keeps its
         # rows, and differencing in place leaves them over-allocated
         rows = []
@@ -279,17 +283,19 @@ def image_degree(result):
     return lie_span(result.generators).degree
 
 
-def _survey_record(ordering, images):
+def _survey_record(ordering, images=None, weights=None, span=None):
     """One record of an ordering survey: for unitriangular images the
     level of each image and the degree of the image subgroup, as
-    image_weights and image_degree give them; images None for an
-    ordering whose images are not unitriangular."""
-    hit = images is not None
+    image_weights and image_degree give them, or as given by weights and
+    span, their Lie series; neither for non-unitriangular images."""
+    if images is not None:
+        weights, span = tuple(map(level_weight, images)), lie_span(images)
+    hit = weights is not None
     return {
         "ordering": ordering,
         "unitriangular": hit,
-        "weights": tuple(map(level_weight, images)) if hit else None,
-        "degree": lie_span(images).degree if hit else None,
+        "weights": weights,
+        "degree": span.degree if hit else None,
     }
 
 

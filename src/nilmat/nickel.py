@@ -35,9 +35,9 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import prod
+from math import factorial, lcm, prod
 
-from .distortion import GuardError
+from .distortion import GuardError, lie_span
 from .jennings import _embedding_result, _survey_record
 from .matgroup import (
     RationalSquareMatrix,
@@ -45,7 +45,7 @@ from .matgroup import (
     _add_into,
     _build,
 )
-from .presentation import _binomials, _differences, _lower_set
+from .presentation import _binomials, _differences, _grid
 
 __all__ = [
     "CoordinatePolynomial",
@@ -66,16 +66,16 @@ def _mono_key(mono):
 class CoordinatePolynomial:
     """Polynomial in the coordinates of a group element.
 
-    Terms map exponent tuples to rational coefficients; zero
-    coefficients are never stored.
+    Terms map exponent tuples to rational coefficients, each divided by
+    den; zero coefficients are never stored.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms):
+    def __init__(self, nvars, terms, den=1):
         clean = {}
         for mono, c in terms.items():
-            c = Fraction(c)
+            c = Fraction(c, den)
             if c:
                 clean[tuple(mono)] = c
         object.__setattr__(self, "nvars", nvars)
@@ -130,13 +130,14 @@ class CoordinatePolynomial:
         return f"CoordinatePolynomial({' + '.join(bits)})"
 
 
-def _binomial_rows(n):
-    """Coefficients of C(a, 0) .. C(a, n) as polynomials in a."""
-    rows = [[Fraction(1)]]
-    for k in range(1, n + 1):
-        prev = rows[-1] + [Fraction(0)]
+def _stirling_rows(top):
+    """Coefficients of top! C(a, k) as polynomials in a, k = 0 .. top:
+    top!/k! times the Stirling numbers of the first kind s(k, e)."""
+    rows = [[factorial(top)]]
+    for k in range(1, top + 1):
+        prev = rows[-1] + [0]
         rows.append([
-            ((prev[e - 1] if e else 0) - (k - 1) * prev[e]) / k
+            ((prev[e - 1] if e else 0) - (k - 1) * prev[e]) // k
             for e in range(k + 1)
         ])
     return rows
@@ -155,7 +156,7 @@ def _relation_weights(p):
             ),
             default=1,
         ))
-    return weights
+    return tuple(weights)
 
 
 def _wdeg(terms, weights):
@@ -165,13 +166,14 @@ def _wdeg(terms, weights):
     )
 
 
-def _translate(value, points, ginv, p):
+def _translate(value, weights, top, ginv, p):
     """Nonzero Newton coefficients of h -> value(h * ginv) from its
-    values on points, the lower set S of exponents of weighted degree
-    <= top under the relation weights, top being the weighted degree
-    of value; see the module docstring for why S suffices."""
-    table = {j: value(p.multiply(j, ginv)) for j in points}
-    _differences(table, operator.sub)
+    values on the lower set S of exponents of weighted degree <= top
+    under the relation weights, top being the weighted degree of value;
+    see the module docstring for why S suffices."""
+    grid = _grid(weights, top)
+    table = {j: value(p.multiply(j, ginv)) for j in grid[0]}
+    _differences(table, operator.sub, grid)
     return {m: c for m, c in table.items() if c}
 
 
@@ -185,19 +187,21 @@ def _newton_value(coeffs, point, top):
     )
 
 
-def _monomials(n, coeffs):
-    """The CoordinatePolynomial sum c_m C(h, m) in n variables, from its
-    Newton coefficients, expanded one axis at a time."""
-    binom = _binomial_rows(max((max(m) for m in coeffs), default=0))
+def _monomials(n, coeffs, den=1):
+    """The CoordinatePolynomial sum c_m C(h, m) / den in n variables, from
+    its Newton coefficients, expanded one axis at a time in rows scaled
+    by K!, K the largest exponent, and divided by den * K!^n at the end."""
+    top = max((max(m) for m in coeffs), default=0)
+    rows = _stirling_rows(top)
     for k in range(n):
         terms = {}
         for m, c in coeffs.items():
-            for e, b in enumerate(binom[m[k]]):
-                if b:
+            for e, s in enumerate(rows[m[k]]):
+                if s:
                     mono = m[:k] + (e,) + m[k + 1:]
-                    terms[mono] = terms.get(mono, 0) + c * b
+                    terms[mono] = terms.get(mono, 0) + c * s
         coeffs = terms
-    return CoordinatePolynomial(n, coeffs)
+    return CoordinatePolynomial(n, coeffs, den * factorial(top) ** n)
 
 
 class FunctionModule:
@@ -237,7 +241,8 @@ def act(f, word, presentation):
 
     ``word`` is the element's exponent tuple; the result g satisfies
     g(h) = f(h * word^-1) for every h, so acting first by one element
-    and then another is the same as acting by their product.
+    and then another is the same as acting by their product.  It is
+    found in ints, for den * f with den the lcm of f's denominators.
     """
     if f.nvars != presentation.M:
         raise ValueError("function and presentation sizes differ")
@@ -245,8 +250,13 @@ def act(f, word, presentation):
         raise ValueError("exponent tuple has wrong length")
     p = presentation
     weights = _relation_weights(p)
-    points = _lower_set(weights, _wdeg(f.terms, weights))
-    return _monomials(p.M, _translate(f.evaluate, points, p.inverse(word), p))
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    ints = [(m, int(c * den)) for m, c in f.terms.items()]
+    moved = _translate(
+        lambda h: sum(c * prod(map(pow, h, m)) for m, c in ints),
+        weights, _wdeg(f.terms, weights), p.inverse(word), p,
+    )
+    return _monomials(p.M, moved, den)
 
 
 def function_module(presentation):
@@ -300,16 +310,13 @@ def function_module(presentation):
     express({p.identity(): 1}, "1")
 
     rows = {}  # (source index, generator) -> coefficient dict
-    lower_sets = {}  # weighted degree -> the points of its S
     idx = 0
     while idx < len(basis):
         f = basis[idx]
         top = _wdeg(f, weights)
-        if top not in lower_sets:
-            lower_sets[top] = list(_lower_set(weights, top))
         for k in range(1, m + 1):
             moved = _translate(
-                lambda h: _newton_value(f, h, top), lower_sets[top],
+                lambda h: _newton_value(f, h, top), weights, top,
                 p.inverse(p.generator(k)), p,
             )
             rows[(idx, k)] = express(moved, f"q{len(basis) - m}")
@@ -434,11 +441,13 @@ def ordering_search(module, mode="exhaustive"):
     each image and the exact distortion degree of the image subgroup,
     read off the images' Lie series with no standardize (the record
     builder is shared with the Jennings survey).  Hits are the linear
-    extensions of the support digraph (_support), so only hits build
-    matrices.  mode "exhaustive" returns a record per basis permutation
-    in itertools.permutations order, hence the cap at dimension 8.
-    mode "report-first" returns the first hit of that scan, found by
-    one topological sort with no size cap, or [] when there is none.
+    extensions of the support digraph (_support); only the first builds
+    matrices, whose series, permuted, serves every hit, and levels come
+    off the support.  mode "exhaustive" returns a record per basis
+    permutation in itertools.permutations order, hence the cap at
+    dimension 8.  mode "report-first" returns the first hit of that
+    scan, found by one topological sort with no size cap, or [] when
+    there is none.
     """
     if mode not in ("exhaustive", "report-first"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -450,10 +459,21 @@ def ordering_search(module, mode="exhaustive"):
         )
     labels = module.labels
     base, shaped, edges = _support(module)
+    first = []  # the first hit's order and Lie series
 
     def record(perm, hit):
-        unis = [_permuted(mat, perm, True) for mat in base] if hit else None
-        return _survey_record(tuple(labels[i] for i in perm), unis)
+        ordering = tuple(labels[i] for i in perm)
+        if not hit:
+            return _survey_record(ordering)
+        if not first:
+            images = [_permuted(mat, perm, True) for mat in base]
+            first.extend((perm, lie_span(images)))
+        pos = {i: r for r, i in enumerate(perm)}
+        weights = tuple(min(
+            pos[j] - pos[i] for i, row in enumerate(mat) for j in row if j != i
+        ) for mat in base)
+        span = first[1].permuted([pos[i] for i in first[0]])
+        return _survey_record(ordering, weights=weights, span=span)
 
     if mode == "report-first":
         if not shaped:

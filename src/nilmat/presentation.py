@@ -13,9 +13,10 @@ conjugation exponents), so exponents around 10^6 cost log, not linear,
 work.
 
 The module also holds the Newton calculus that both embeddings share:
-lower sets of exponent tuples (_lower_set), binomials C(a, e) of any
-integer a (_binomials), and iterated forward differences over a lower
-set (_differences).
+lower sets of exponent tuples (_lower_set, and _grid, which lists one
+with its differencing walk), binomials C(a, e) of any integer a
+(_binomials), and iterated forward differences over a lower set
+(_differences).
 """
 
 from __future__ import annotations
@@ -270,22 +271,38 @@ def _binomials(a, top):
     return tuple(out)
 
 
-def _differences(table, step):
-    """Iterated forward differences, in place, of the values table holds
-    on a lower set of exponent tuples: table[m] becomes Delta^m f(0) for
-    the function f that table held on entry.  step(a, b) is a - b, and
-    may update a in place: along each axis the points are visited
-    deepest first, so the point below still holds the previous level's
-    value when it is read."""
-    for k in range(len(next(iter(table)))):
+@lru_cache(maxsize=64)
+def _grid(weights, top):
+    """The lower set of exponent tuples of weighted degree <= top under
+    weights (a tuple), and the walk _differences takes over it: for
+    each axis k and each level 1, 2, ..., the (point, point below)
+    pairs along k whose k-th exponent reaches the level, deepest first.
+    Listed once per (weights, top); a caller that must stop at a size
+    cap walks _lower_set first."""
+    points = tuple(_lower_set(weights, top))
+    walk = []
+    for k in range(len(weights)):
         pairs = sorted(
-            ((m, m[:k] + (m[k] - 1,) + m[k + 1:]) for m in table if m[k]),
+            ((m, m[:k] + (m[k] - 1,) + m[k + 1:]) for m in points if m[k]),
             key=lambda pair: -pair[0][k],
         )
-        for level in range(1, pairs[0][0][k] + 1 if pairs else 1):
+        walk.append(tuple(
+            tuple(pair for pair in pairs if pair[0][k] >= level)
+            for level in range(1, pairs[0][0][k] + 1 if pairs else 1)
+        ))
+    return points, tuple(walk)
+
+
+def _differences(table, step, grid):
+    """Iterated forward differences, in place, of the values table holds
+    on a lower set of exponent tuples: table[m] becomes Delta^m f(0) for
+    the function f that table held on entry, grid being the set's
+    _grid.  step(a, b) is a - b, and may update a in place: along each
+    axis the points are visited deepest first, so the point below still
+    holds the previous level's value when it is read."""
+    for levels in grid[1]:
+        for pairs in levels:
             for m, below in pairs:
-                if m[k] < level:
-                    break
                 table[m] = step(table[m], table[below])
     return table
 

@@ -655,6 +655,33 @@ def test_lie_span_brackets_each_base_pair_once(monkeypatch):
     assert span.depth(elementary(4, 1, 4)) == 3
 
 
+def conjugate(g, sigma):
+    """g conjugated by the permutation matrix taking index i to
+    sigma[i]."""
+    back = sorted(range(g.n), key=sigma.__getitem__)
+    return UnitriangularMatrix([[g.rows[r][c] for c in back] for r in back])
+
+
+def test_permuted_span_is_the_span_of_the_conjugates():
+    # the order 3, 1, 0, 2, 4 keeps the images upper unitriangular; the
+    # re-keyed rows collide on their leads, and re-inserting them
+    # shallowest first would leave level 4 with depth 2, not 1
+    n = 5
+    gens = [
+        elementary(n, 2, 5) * elementary(n, 4, 5, -1),
+        elementary(n, 1, 3, -2) * elementary(n, 3, 5, -1),
+        elementary(n, 2, 3, -1),
+    ]
+    sigma = (2, 1, 3, 0, 4)
+    span = lie_span(gens)
+    moved = span.permuted(sigma)
+    fresh = lie_span([conjugate(g, sigma) for g in gens])
+    assert fresh.strata() == ((4, 1), (3, 1), (2, 1), (1, 1))
+    assert moved.strata() == fresh.strata()
+    assert (moved.degree, moved.dimension) == (fresh.degree, fresh.dimension)
+    assert span.permuted(range(n)).strata() == span.strata()
+
+
 def test_trivial_subgroup_is_refused_before_any_basis(monkeypatch):
     def no_basis(*args):
         raise AssertionError("a position basis was built")

@@ -1,14 +1,25 @@
 """Coordinate-function modules and the dual matrix construction."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilmat.distortion import GuardError, SubgroupGens, distortion_degree
+from nilmat import nickel
+from nilmat.distortion import (
+    GuardError,
+    SubgroupGens,
+    distortion_degree,
+    lie_span,
+)
 from nilmat.jennings import image_weights
-from nilmat.matgroup import RationalSquareMatrix, UnitriangularMatrix
+from nilmat.matgroup import (
+    RationalNilpotentMatrix,
+    RationalSquareMatrix,
+    UnitriangularMatrix,
+)
 from nilmat.nickel import (
     CoordinatePolynomial,
     FunctionModule,
@@ -315,6 +326,93 @@ def test_heisenberg2_search_statistics():
             assert r["weights"] is None and r["degree"] is None
 
 
+def _hit_images(module, ordering):
+    """The generator images of the module in the basis order of a hit's
+    labels, and that order as basis indices."""
+    index = {lab: i for i, lab in enumerate(module.labels)}
+    perm = [index[lab] for lab in ordering]
+    base, shaped, _ = nickel._support(module)
+    assert shaped
+    return [nickel._permuted(mat, perm, True) for mat in base], perm
+
+
+@pytest.mark.parametrize("name, sample", [
+    ("heisenberg:2", None), ("heisenberg:3", 24),
+])
+def test_permuted_span_matches_a_fresh_span(name, sample):
+    # every hit's images are the first hit's conjugated by a permutation
+    # matrix, so the first hit's series, re-keyed, has the strata of a
+    # series built from the hit's own images
+    module = function_module(builtin(name))
+    hits = [r["ordering"] for r in ordering_search(module)
+            if r["unitriangular"]]
+    images, first = _hit_images(module, hits[0])
+    span = lie_span(images)
+    if sample is not None:
+        hits = random.Random(1260).sample(hits, sample)
+    for ordering in hits:
+        images, perm = _hit_images(module, ordering)
+        pos = {i: r for r, i in enumerate(perm)}
+        moved = span.permuted([pos[i] for i in first])
+        fresh = lie_span(images)
+        assert moved.strata() == fresh.strata()
+        assert moved.degree == fresh.degree
+        assert moved.dimension == fresh.dimension
+        assert all(moved.contains(g) for g in images)
+
+
+def test_survey_builds_one_lie_series(monkeypatch):
+    # the 40 hits of heisenberg:2 cost the brackets of a single series
+    module = function_module(builtin("heisenberg:2"))
+    first = next(
+        r["ordering"] for r in ordering_search(module) if r["unitriangular"]
+    )
+    images, _ = _hit_images(module, first)
+    orig = RationalNilpotentMatrix.bracket
+    calls, spans = [0], [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return orig(self, other)
+
+    def counted_span(mats):
+        spans[0] += 1
+        return lie_span(mats)
+
+    monkeypatch.setattr(RationalNilpotentMatrix, "bracket", counted)
+    lie_span(images)
+    one = calls[0]
+    monkeypatch.setattr(nickel, "lie_span", counted_span)
+    calls[0] = 0
+    records = ordering_search(module)
+    assert sum(r["unitriangular"] for r in records) == 40
+    assert spans[0] == 1
+    assert calls[0] == one > 0
+
+
+# sha256 of function_module's basis terms, in insertion order, its labels
+# and its action matrices: ut:5 has forced extras reduced with Fraction
+# Newton coefficients, freenil23 extras with denominator 2
+MODULE_DIGESTS = {
+    "ut:5": "b7f71bc9895bb9fcf1cd3335de8beb1f2f5628603cd3040daacad682362988ab",
+    "ut:4:scheme":
+        "664ac000c9feaf4aa89ec47383d6408fe01a3015e0a2f071e3f42dfff8ec3b12",
+    "freenil23":
+        "492830116ef75ce9df3d557792f1c571a4485e278618a05a6d737f9da0dbf2d4",
+}
+
+
+@pytest.mark.parametrize("name", list(MODULE_DIGESTS))
+def test_function_module_is_pinned(name):
+    module = function_module(builtin(name))
+    text = repr((
+        [list(f.terms.items()) for f in module.basis],
+        module.labels,
+        sorted(module.matrices.items()),
+    ))
+    assert hashlib.sha256(text.encode()).hexdigest() == MODULE_DIGESTS[name]
+
+
 def test_freenil_search_finds_nothing_triangular():
     module = function_module(builtin("freenil23"))
     records = ordering_search(module)
@@ -389,10 +487,8 @@ def test_report_first_is_first_unitriangular_ordering(name):
             ).degree,
         }]
     assert ordering_search(module, mode="report-first") == expected
-    # heisenberg:3's exhaustive scan computes 1260 degrees (about 13 s)
-    if name != "heisenberg:3":
-        hits = [r for r in ordering_search(module) if r["unitriangular"]]
-        assert hits[:1] == expected
+    hits = [r for r in ordering_search(module) if r["unitriangular"]]
+    assert hits[:1] == expected
 
 
 def test_report_first_has_no_dimension_cap():

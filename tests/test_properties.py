@@ -7,7 +7,8 @@ side's strata and degree against strata read off the standardized
 slots with the group-side depth oracle, the CLI's exit code 1 on
 malformed subgroup JSON, the Newton calculus both embeddings share
 (binomials, lower-set differences, Newton-to-monomial expansion)
-against falling factorials and signed binomial sums, and the sparse
+against falling factorials and signed binomial sums, Nickel's integer
+act against the translate evaluated in Fractions, and the sparse
 square matrices' product, power and inverse against dense Fraction
 products and the adjugate."""
 
@@ -48,18 +49,23 @@ from nilmat.matgroup import (  # noqa: E402
     level_weight,
     matrix_to_json,
 )
-from nilmat.nickel import _monomials  # noqa: E402
+from nilmat.nickel import (  # noqa: E402
+    CoordinatePolynomial,
+    _monomials,
+    act,
+)
 from nilmat.presentation import (  # noqa: E402
     NilpotentPresentation,
     _binomials,
     _differences,
+    _grid,
     _lower_set,
     builtin,
     evaluate_coords,
     presentation_from_json,
     presentation_to_json,
 )
-from test_distortion import conjugated, disguised  # noqa: E402
+from test_distortion import conjugate, conjugated, disguised  # noqa: E402
 
 # derandomized and without an example database, so a run reads and
 # writes no state and every run draws the same examples
@@ -254,6 +260,32 @@ def test_lie_strata_match_the_group_side(sub):
     assert_lie_strata_match(sub)
 
 
+@fast
+@given(st.data())
+def test_permuted_span_matches_the_conjugates_span(data):
+    # any order that keeps the generators upper unitriangular (a linear
+    # extension of their support) keeps their Lie algebra so too
+    n = data.draw(st.integers(3, 6))
+    gens = data.draw(st.lists(unitriangular(n, n), min_size=1, max_size=3))
+    edges = {
+        (i, j) for g in gens for i in range(n)
+        for j in range(i + 1, n) if g.rows[i][j]
+    }
+    left, order = set(range(n)), []
+    while left:
+        ready = [j for j in sorted(left)
+                 if all((k, j) not in edges for k in left)]
+        order.append(data.draw(st.sampled_from(ready)))
+        left.remove(order[-1])
+    sigma = [order.index(i) for i in range(n)]
+    span = lie_span(gens)
+    assume(span.dimension)
+    moved = span.permuted(sigma)
+    fresh = lie_span([conjugate(g, sigma) for g in gens])
+    assert moved.strata() == fresh.strata()
+    assert (moved.degree, moved.dimension) == (fresh.degree, fresh.dimension)
+
+
 DEFECTS = ("rows text", "row text", "ragged", "n", "diagonal", "below",
            "float", "bool")
 
@@ -326,19 +358,24 @@ def test_binomials_are_falling_factorials(a, top):
 
 @st.composite
 def lower_set_tables(draw):
+    """Random values on a lower set, with the set's _grid."""
     weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
-    points = list(_lower_set(weights, draw(st.integers(0, 6))))
+    top = draw(st.integers(0, 6))
+    grid = _grid(weights, top)
+    points = grid[0]
+    assert points == tuple(_lower_set(weights, top))
     values = draw(st.lists(
         st.integers(-50, 50), min_size=len(points), max_size=len(points)
     ))
-    return dict(zip(points, values))
+    return dict(zip(points, values)), grid
 
 
 @fast
 @given(lower_set_tables())
-def test_differences_are_signed_binomial_sums(table):
+def test_differences_are_signed_binomial_sums(table_grid):
+    table, grid = table_grid
     f = dict(table)
-    got = _differences(table, operator.sub)
+    got = _differences(table, operator.sub, grid)
     for m in f:
         want = sum(
             (-1) ** (sum(m) - sum(j)) * prod(map(comb, m, j)) * f[j]
@@ -356,13 +393,51 @@ def test_monomials_evaluate_to_the_newton_sum(data):
         st.fractions(-5, 5, max_denominator=4).filter(bool),
         max_size=5,
     ))
-    poly = _monomials(n, coeffs)
+    den = data.draw(st.integers(1, 6))
+    poly = _monomials(n, coeffs, den)
     for _ in range(3):
         h = data.draw(st.tuples(*[st.integers(-6, 6)] * n))
         want = sum(
             c * prod(map(falling_binomial, h, m)) for m, c in coeffs.items()
         )
-        assert poly.evaluate(h) == want
+        assert poly.evaluate(h) == want / den
+
+
+ACT_GROUPS = ("ut:3", "heisenberg:2", "freenil23")
+
+
+@st.composite
+def coordinate_functions(draw, M):
+    """Polynomials of degree <= 2 with mixed denominators and signs; the
+    zero function and constants are drawn on purpose too."""
+    monos = st.tuples(*[st.integers(0, 2)] * M).filter(lambda m: sum(m) <= 2)
+    coeffs = st.fractions(-6, 6, max_denominator=6)
+    kind = draw(st.sampled_from(("zero", "constant", "general")))
+    if kind == "zero":
+        return CoordinatePolynomial(M, {})
+    if kind == "constant":
+        return CoordinatePolynomial.constant(M, draw(coeffs.filter(bool)))
+    return CoordinatePolynomial(
+        M, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=5))
+    )
+
+
+@fast
+@given(st.data())
+def test_act_is_the_pointwise_translate(data):
+    # act interpolates den * f in integers; evaluate is the Fraction
+    # reference, taken at points off the interpolation grid too
+    p = builtin(data.draw(st.sampled_from(ACT_GROUPS)))
+    f = data.draw(coordinate_functions(p.M))
+    word = data.draw(st.tuples(*[st.integers(-3, 3)] * p.M))
+    g = act(f, word, p)
+    assert g.nvars == p.M
+    if len(f.terms) <= 1 and all(not any(m) for m in f.terms):
+        assert g == f  # a constant is its own translate
+    winv = p.inverse(word)
+    for _ in range(3):
+        h = data.draw(st.tuples(*[st.integers(-4, 4)] * p.M))
+        assert g.evaluate(h) == f.evaluate(p.multiply(h, winv))
 
 
 def dense_mul(a, b):
