@@ -26,7 +26,12 @@ from .distortion import (
     subgroup_from_json,
     subgroup_to_json,
 )
-from .jennings import _survey_record, embedding_to_json, jennings_embedding
+from .jennings import (
+    JenningsBasis,
+    _survey,
+    embedding_to_json,
+    jennings_embedding,
+)
 from .nickel import function_module, nickel_embedding, ordering_search
 from .presentation import builtin, presentation_from_json
 from .verify import run_all
@@ -178,24 +183,17 @@ def cmd_construct(args):
     return 0
 
 
-def _jennings_survey(group):
-    """Records like ordering_search's for the two named basis orders
-    that apply to the group."""
-    records = []
-    for order in ("weight-lex", "scheme-perturbed"):
-        try:
-            emb = jennings_embedding(group, order=order)
-        except ValueError:
-            continue
-        images = emb.generators if emb.unitriangular else None
-        records.append(_survey_record(order, images))
-    return records
-
-
 def cmd_orderings(args):
     group = _load_group(args.group, consistent=args.kind == "nickel")
     if args.kind == "jennings":
-        records = _jennings_survey(group)
+        # the named basis orders that apply to the group, each a
+        # permutation of the weight-lex images
+        named = [JenningsBasis(group)]
+        if group.positions is not None:
+            named.append(JenningsBasis(group, order="scheme-perturbed"))
+        records = _survey(
+            named[0]._generator_rows(), [(b.order, b.perm) for b in named]
+        )
         mode = "named"
     else:
         mode = "exhaustive" if args.exhaustive else "report-first"

@@ -67,6 +67,9 @@ class JenningsBasis:
     * an explicit permutation: a sequence of integers reordering the
       weight-lex basis.
 
+    perm records any order that way: the k-th basis monomial is the
+    perm[k]-th in weight-lex order.
+
     The monomials are listed lazily, and a basis past MAX_MONOMIALS
     raises GuardError once the cap is passed, before the rest is
     enumerated.
@@ -99,19 +102,18 @@ class JenningsBasis:
                 )
             mu_of[m] = sum(e * w for e, w in zip(m, weights))
 
-        def weight_lex(m):
-            return (mu_of[m], tuple(-x for x in m))
-
+        lex = tuple(
+            sorted(mu_of, key=lambda m: (mu_of[m], tuple(-x for x in m)))
+        )
         if order == "weight-lex":
-            ordered = sorted(mu_of, key=weight_lex)
+            perm = range(len(lex))
         elif explicit:
-            base = sorted(mu_of, key=weight_lex)
-            if sorted(order) != list(range(len(base))):
+            if sorted(order) != list(range(len(lex))):
                 raise ValueError(
                     "explicit order must be a permutation of the "
                     "weight-lex basis indices"
                 )
-            ordered = [base[k] for k in order]
+            perm = order
         else:
             positions = presentation.positions
             if positions is None:
@@ -120,21 +122,23 @@ class JenningsBasis:
                     "matrix positions"
                 )
 
-            def perturbed(m):
-                live = [k for k, e in enumerate(m) if e]
-                if not live:
-                    return (0, ())
-                if len(live) == 1 and m[live[0]] == 1:
-                    i, j = positions[live[0]]
-                    return (1, (-j, -i))
-                return (2, weight_lex(m))
+            def perturbed(k):
+                # lex[0] is the empty monomial
+                m = lex[k]
+                if sum(m) == 1:
+                    i, j = positions[m.index(1)]
+                    return (1, -j, -i)
+                return (2 if k else 0, k)
 
-            ordered = sorted(mu_of, key=perturbed)
+            perm = sorted(range(len(lex)), key=perturbed)
 
-        self.monomials = tuple(ordered)
-        self.mu = tuple(mu_of[m] for m in ordered)
+        self.perm = tuple(perm)
+        self.monomials = tuple(lex[k] for k in self.perm)
+        self.mu = tuple(mu_of[m] for m in self.monomials)
+        self._lex = lex
         # a monomial's code is its exponent tuple read in mixed radix,
-        # digit k running over 0 .. cutoff // w_k; codes key the columns
+        # digit k running over 0 .. cutoff // w_k; codes key the
+        # weight-lex columns
         radix, step = [], 1
         for w in presentation.weights:
             radix.append(step)
@@ -142,7 +146,7 @@ class JenningsBasis:
         self._radix = tuple(radix)
         self._column = {
             sum(e * R for e, R in zip(m, radix)): k
-            for k, m in enumerate(ordered)
+            for k, m in enumerate(lex)
         }
 
     def __len__(self):
@@ -152,11 +156,11 @@ class JenningsBasis:
         """Expansion of the group element with the given exponent tuple
         over the monomial basis, as a dict monomial -> int coefficient.
         """
-        monomials = self.monomials
-        return {monomials[k]: c for k, c in self._expand(coords).items()}
+        lex = self._lex
+        return {lex[k]: c for k, c in self._expand(coords).items()}
 
-    def _expand(self, coords):
-        """expand_group keyed by basis column.
+    def _expand(self, coords, sign=1):
+        """expand_group keyed by weight-lex column, times sign.
 
         The normal word x_1^a_1 ... x_M^a_M is already in generator
         order, so the product of the power series (1 - u_k)^a_k needs
@@ -164,7 +168,7 @@ class JenningsBasis:
         coefficient of u^e in (1 - u)^a is (-1)^e C(a, e), and terms above
         the cutoff weight are dropped.
         """
-        terms = [(0, 1, self.cutoff)]  # (code, coefficient, weight room)
+        terms = [(0, sign, self.cutoff)]  # (code, coefficient, weight room)
         for a, w, R in zip(coords, self.presentation.weights, self._radix):
             if a:
                 series = _binomials(a, self.cutoff // w)
@@ -179,47 +183,118 @@ class JenningsBasis:
     def element_matrix(self, coords):
         """Matrix of right multiplication by the element g with the
         given exponent tuple, rows and columns indexed by the basis
-        order.
+        order: a UnitriangularMatrix when the basis order supports it,
+        otherwise a RationalSquareMatrix (see _ordered)."""
+        return _ordered([self._rows(coords)], self.perm)[0]
+
+    def _rows(self, coords):
+        """The rows of element_matrix in weight-lex order, as sparse
+        dicts, column -> nonzero int, the diagonal included.
 
         The monomial u^r = (1 - x_1)^r_1 ... (1 - x_M)^r_M is the signed
         sum over j <= r of (-1)^|j| C(r, j) x^j, where x^j is the group
         element with exponent tuple j, so the row of u^r is
-        (-1)^|r| Delta^r F(0), the iterated forward difference of the
-        rows F(j) = expansion of x^j g.  Every j <= r is itself a basis
-        monomial (the basis is a lower set), so F costs one collector
-        product per basis monomial, and the differences are taken in
-        place (presentation._differences).  Returns a
-        UnitriangularMatrix, whose sparse entries are these rows less the
-        diagonal, when the basis order supports it, otherwise a
-        RationalSquareMatrix holding these rows.
+        (1 + E)^r G(0), the iterated binomial sum of the signed rows
+        G(j) = (-1)^|j| (expansion of x^j g), E the shift.  Every j <= r
+        is itself a basis monomial (the basis is a lower set), so G
+        costs one collector product per basis monomial, and the sums are
+        taken in place by presentation._differences with the step a + b
+        in place of a - b.
         """
         p = self.presentation
         coords = tuple(coords)
-        monomials = self.monomials
-        # sparse rows, column -> nonzero int
-        table = {r: self._expand(p.multiply(r, coords)) for r in monomials}
+        lex = self._lex
+        table = {
+            r: self._expand(p.multiply(r, coords), -1 if sum(r) & 1 else 1)
+            for r in lex
+        }
         _differences(
-            table, lambda a, b: _add_into(a, -1, b),
+            table, lambda a, b: _add_into(a, 1, b),
             _grid(p.weights, self.cutoff),
         )
-        # rebuilt rather than negated in place: the matrix keeps its
-        # rows, and differencing in place leaves them over-allocated
-        rows = []
-        for r in monomials:
-            sign = -1 if sum(r) & 1 else 1
-            rows.append({col: sign * v for col, v in table[r].items()})
-        d = len(monomials)
-        if all(
-            row.get(i) == 1 and min(row) == i for i, row in enumerate(rows)
-        ):
-            for i, row in enumerate(rows):
-                del row[i]
-            return _build(UnitriangularMatrix, d, rows)
-        return _build(RationalSquareMatrix, d, rows)
+        return [table[r] for r in lex]
 
     def action_matrix(self, k):
         """element_matrix of the k-th generator (1-based)."""
         return self.element_matrix(self.presentation.generator(k))
+
+    def _generator_rows(self):
+        """_rows of every generator, in weight-lex order."""
+        p = self.presentation
+        return [self._rows(p.generator(k)) for k in range(1, p.M + 1)]
+
+
+def _support(base):
+    """Ordering-free facts about generator images given as sparse rows
+    base, column -> nonzero entry, the diagonal included: whether every
+    entry is an int and every diagonal entry 1 (shaped), and the
+    support digraph, an edge i -> j for each nonzero off-diagonal entry
+    (i, j).  A basis order gives integral unitriangular images exactly
+    when they are shaped and the order is a linear extension of the
+    digraph."""
+    types = {type(e) for mat in base for row in mat for e in row.values()}
+    shaped = types == {int} and all(
+        row.get(i) == 1 for mat in base for i, row in enumerate(mat)
+    )
+    edges = {
+        (i, j) for mat in base for i, row in enumerate(mat) for j in row
+        if i != j
+    }
+    return shaped, edges
+
+
+def _extends(perm, edges):
+    """Whether the order perm puts every edge's source first."""
+    pos = {i: r for r, i in enumerate(perm)}
+    return all(pos[i] < pos[j] for i, j in edges)
+
+
+def _ordered(base, perm):
+    """The generator images with sparse rows base (see _support) in the
+    basis order perm, whose r-th element is base's perm[r]-th, so that a
+    permutation matrix conjugates them to base: UnitriangularMatrix
+    images when base is shaped and perm extends its support,
+    RationalSquareMatrix images otherwise."""
+    shaped, edges = _support(base)
+    hit = shaped and _extends(perm, edges)
+    pos = {i: r for r, i in enumerate(perm)}
+    cls = UnitriangularMatrix if hit else RationalSquareMatrix
+    images = []
+    for mat in base:
+        rows = [{pos[j]: e for j, e in mat[i].items()} for i in perm]
+        if hit:
+            for r, row in enumerate(rows):
+                del row[r]
+        images.append(_build(cls, len(rows), rows))
+    return images
+
+
+def _survey(base, orders):
+    """Survey records of the generator images with sparse rows base
+    (see _support), one per (ordering, perm) in orders: the ordering,
+    whether its images are unitriangular, and for a hit the level of
+    each image and the degree of the image subgroup, as image_weights
+    and image_degree give them.  Only the first hit builds images; their
+    Lie series, permuted, serves every hit."""
+    shaped, edges = _support(base)
+    records, first = [], None
+    for ordering, perm in orders:
+        hit = shaped and _extends(perm, edges)
+        weights = degree = None
+        if hit:
+            if first is None:
+                first = perm, lie_span(_ordered(base, perm))
+            pos = {i: r for r, i in enumerate(perm)}
+            weights = tuple(min(
+                pos[j] - pos[i] for i, row in enumerate(mat) for j in row
+                if j != i
+            ) for mat in base)
+            degree = first[1].permuted([pos[i] for i in first[0]]).degree
+        records.append(dict(
+            ordering=ordering, unitriangular=hit, weights=weights,
+            degree=degree,
+        ))
+    return records
 
 
 @dataclass(frozen=True)
@@ -240,33 +315,31 @@ class EmbeddingResult:
 
 def jennings_embedding(presentation, order="weight-lex", truncation=None):
     """Embed the presented group by its action on the truncated group
-    ring; returns generator matrices over the chosen monomial order."""
+    ring; returns generator matrices over the chosen monomial order,
+    permuted from the weight-lex images.  Conjugation keeps every
+    relation, so the relators of an order whose images are not
+    unitriangular are checked on the weight-lex images, which are."""
     basis = JenningsBasis(presentation, order=order, truncation=truncation)
-    gens = [basis.action_matrix(k) for k in range(1, presentation.M + 1)]
-    return _embedding_result(presentation, gens, basis.monomials, basis)
+    base = basis._generator_rows()
+    gens = checked = _ordered(base, basis.perm)
+    if not isinstance(gens[0], UnitriangularMatrix):
+        checked = _ordered(base, range(len(basis)))
+    return _embedding_result(
+        presentation, gens, basis.monomials, basis, checked
+    )
 
 
-def _embedding_result(presentation, gens, ordering, basis):
-    """The EmbeddingResult of both constructions.  It is unitriangular
-    when every generator image is a UnitriangularMatrix; otherwise every
-    image is carried as a RationalSquareMatrix, a unitriangular one
-    with its unit diagonal added to its entries.  relators_ok comes
-    from relation_failures on the images."""
-    unitriangular = all(isinstance(g, UnitriangularMatrix) for g in gens)
-    if not unitriangular:
-        gens = [
-            _build(RationalSquareMatrix, g.n, (
-                {i: 1, **r} for i, r in enumerate(g.entries)
-            )) if isinstance(g, UnitriangularMatrix) else g
-            for g in gens
-        ]
+def _embedding_result(presentation, gens, ordering, basis, checked):
+    """The EmbeddingResult of both constructions, with images gens as
+    _ordered gives them and relators_ok from relation_failures on the
+    images checked, gens or a conjugate of them."""
     return EmbeddingResult(
         d=gens[0].n,
         ordering=ordering,
         generators=tuple(gens),
-        unitriangular=unitriangular,
+        unitriangular=isinstance(gens[0], UnitriangularMatrix),
         basis=basis,
-        relators_ok=not relation_failures(presentation, gens),
+        relators_ok=not relation_failures(presentation, checked),
     )
 
 
@@ -281,22 +354,6 @@ def image_degree(result):
     for a result with unitriangular images, read off the Lie series of
     the images (LieAlgebraSpan.degree) with no standardize."""
     return lie_span(result.generators).degree
-
-
-def _survey_record(ordering, images=None, weights=None, span=None):
-    """One record of an ordering survey: for unitriangular images the
-    level of each image and the degree of the image subgroup, as
-    image_weights and image_degree give them, or as given by weights and
-    span, their Lie series; neither for non-unitriangular images."""
-    if images is not None:
-        weights, span = tuple(map(level_weight, images)), lie_span(images)
-    hit = weights is not None
-    return {
-        "ordering": ordering,
-        "unitriangular": hit,
-        "weights": weights,
-        "degree": span.degree if hit else None,
-    }
 
 
 def embedding_to_json(result):

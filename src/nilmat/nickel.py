@@ -37,14 +37,9 @@ import operator
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .distortion import GuardError, lie_span
-from .jennings import _embedding_result, _survey_record
-from .matgroup import (
-    RationalSquareMatrix,
-    UnitriangularMatrix,
-    _add_into,
-    _build,
-)
+from .distortion import GuardError
+from .jennings import _embedding_result, _ordered, _support, _survey
+from .matgroup import _add_into
 from .presentation import _binomials, _differences, _grid
 
 __all__ = [
@@ -358,52 +353,18 @@ def declared_ordering(module):
     return tuple(module.labels[k] for k in order) + ("1",)
 
 
-def _support(module):
+def _module_rows(module):
     """The module's generator matrices as sparse rows, column -> nonzero
-    entry, with ordering-free facts about them: whether they are all
-    integral with unit diagonal (shaped; their entries are then ints),
-    and the support digraph, an edge i -> j for each nonzero
-    off-diagonal entry (i, j).  A basis order gives integral
-    unitriangular images exactly when they are shaped and the order is
-    a linear extension of the digraph."""
-    base = [
-        [{j: e for j, e in enumerate(row) if e} for row in module.matrices[k]]
+    entry, an int where the entry is integral, as the ordering engine
+    of jennings (_ordered, _survey) takes them."""
+    return [
+        [
+            {j: e.numerator if e.denominator == 1 else e
+             for j, e in enumerate(row) if e}
+            for row in module.matrices[k]
+        ]
         for k in range(1, module.presentation.M + 1)
     ]
-    shaped = all(
-        row.get(i) == 1 and all(e.denominator == 1 for e in row.values())
-        for mat in base
-        for i, row in enumerate(mat)
-    )
-    if shaped:
-        base = [
-            [{j: int(e) for j, e in row.items()} for row in mat]
-            for mat in base
-        ]
-    edges = {
-        (i, j) for mat in base for i, row in enumerate(mat) for j in row
-        if i != j
-    }
-    return base, shaped, edges
-
-
-def _permuted(mat, perm, hit):
-    """The generator matrix with sparse rows mat in the basis order perm:
-    for a hit a UnitriangularMatrix, whose entries leave out the unit
-    diagonal, otherwise a RationalSquareMatrix."""
-    pos = {i: r for r, i in enumerate(perm)}
-    rows = [{pos[j]: e for j, e in mat[i].items()} for i in perm]
-    if not hit:
-        return _build(RationalSquareMatrix, len(rows), rows)
-    for r, row in enumerate(rows):
-        del row[r]
-    return _build(UnitriangularMatrix, len(rows), rows)
-
-
-def _extends(perm, edges):
-    """Whether the order perm puts every edge's source first."""
-    pos = {i: r for r, i in enumerate(perm)}
-    return all(pos[i] < pos[j] for i, j in edges)
 
 
 def nickel_embedding(presentation, ordering=None):
@@ -426,11 +387,8 @@ def nickel_embedding(presentation, ordering=None):
     if sorted(ordering) != sorted(module.labels):
         raise ValueError("ordering is not a permutation of basis labels")
     index = {lab: i for i, lab in enumerate(module.labels)}
-    perm = [index[lab] for lab in ordering]
-    base, shaped, edges = _support(module)
-    hit = shaped and _extends(perm, edges)
-    gens = [_permuted(mat, perm, hit) for mat in base]
-    return _embedding_result(presentation, gens, ordering, module)
+    gens = _ordered(_module_rows(module), [index[lab] for lab in ordering])
+    return _embedding_result(presentation, gens, ordering, module, gens)
 
 
 def ordering_search(module, mode="exhaustive"):
@@ -439,15 +397,15 @@ def ordering_search(module, mode="exhaustive"):
     Records carry an ordering's labels, whether all generator images
     come out integral unitriangular, and for such a hit the level of
     each image and the exact distortion degree of the image subgroup,
-    read off the images' Lie series with no standardize (the record
-    builder is shared with the Jennings survey).  Hits are the linear
-    extensions of the support digraph (_support); only the first builds
-    matrices, whose series, permuted, serves every hit, and levels come
-    off the support.  mode "exhaustive" returns a record per basis
-    permutation in itertools.permutations order, hence the cap at
-    dimension 8.  mode "report-first" returns the first hit of that
-    scan, found by one topological sort with no size cap, or [] when
-    there is none.
+    read off the images' Lie series with no standardize, by the
+    ordering engine the Jennings survey shares (jennings._survey).
+    Hits are the linear extensions of the support digraph (_support);
+    only the first builds matrices, whose series, permuted, serves
+    every hit, and levels come off the support.  mode "exhaustive"
+    returns a record per basis permutation in itertools.permutations
+    order, hence the cap at dimension 8.  mode "report-first" returns
+    the first hit of that scan, found by one topological sort with no
+    size cap, or [] when there is none.
     """
     if mode not in ("exhaustive", "report-first"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -457,25 +415,9 @@ def ordering_search(module, mode="exhaustive"):
             "exhaustive ordering search is capped at module dimension 8; "
             f"this module has dimension {dim}"
         )
-    labels = module.labels
-    base, shaped, edges = _support(module)
-    first = []  # the first hit's order and Lie series
-
-    def record(perm, hit):
-        ordering = tuple(labels[i] for i in perm)
-        if not hit:
-            return _survey_record(ordering)
-        if not first:
-            images = [_permuted(mat, perm, True) for mat in base]
-            first.extend((perm, lie_span(images)))
-        pos = {i: r for r, i in enumerate(perm)}
-        weights = tuple(min(
-            pos[j] - pos[i] for i, row in enumerate(mat) for j in row if j != i
-        ) for mat in base)
-        span = first[1].permuted([pos[i] for i in first[0]])
-        return _survey_record(ordering, weights=weights, span=span)
-
+    base = _module_rows(module)
     if mode == "report-first":
+        shaped, edges = _support(base)
         if not shaped:
             return []
         # Taking, each time, the smallest index with no edge from the
@@ -490,8 +432,10 @@ def ordering_search(module, mode="exhaustive"):
                 return []  # a cycle: no extension
             perm.append(i)
             left.remove(i)
-        return [record(perm, True)]
-    return [
-        record(perm, shaped and _extends(perm, edges))
-        for perm in itertools.permutations(range(dim))
-    ]
+        perms = [perm]
+    else:
+        perms = itertools.permutations(range(dim))
+    labels = module.labels
+    return _survey(
+        base, ((tuple(labels[i] for i in perm), perm) for perm in perms)
+    )

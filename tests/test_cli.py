@@ -12,10 +12,12 @@ import pytest
 from nilmat import distortion, presentation
 from nilmat.cli import main
 from nilmat.distortion import SubgroupGens, distorted_subgroup, subgroup_to_json
+from nilmat.jennings import jennings_embedding
 from nilmat.matgroup import elementary
 from nilmat.presentation import (
     NilpotentPresentation,
     builtin,
+    presentation_from_json,
     presentation_to_json,
 )
 
@@ -87,9 +89,21 @@ def write_inconsistent(tmp_path):
 def test_failed_relators_exit_2(capsys, tmp_path):
     # the images are still reported, with the failure signaled through
     # the exit code
-    rc, out, _ = run(capsys, "embed", "jennings", write_inconsistent(tmp_path))
+    spec = write_inconsistent(tmp_path)
+    rc, out, _ = run(capsys, "embed", "jennings", spec)
     assert rc == 2
     assert json.loads(out)["d"] == 25
+    # a reversed order's images are not unitriangular; the relations
+    # fail in every basis order all the same
+    reversed_order = ",".join(map(str, range(24, -1, -1)))
+    rc, out, _ = run(capsys, "embed", "jennings", spec,
+                     "--order", reversed_order)
+    assert rc == 2
+    assert json.loads(out)["unitriangular"] is False
+    with open(spec[5:], encoding="utf-8") as fh:
+        bad = presentation_from_json(json.load(fh))
+    for order in ("weight-lex", tuple(range(24, -1, -1))):
+        assert jennings_embedding(bad, order=order).relators_ok is False
 
 
 def test_nickel_rejects_inconsistent_file_group(capsys, tmp_path):
@@ -219,6 +233,28 @@ PINNED_STDOUT = {
         ("embed", "jennings", "ut:4", "--order",
          ",".join(map(str, range(28, -1, -1)))),
         "ee046d9aab321a22d995cda187d8abbe0411375423a3459673d16fa56d04aa8c",
+    ),
+    # scheme-perturbed is not unitriangular on ut:4 and ut:5, and is on
+    # heisenberg:2
+    "orderings-jennings-ut4": (
+        ("orderings", "jennings", "ut:4"),
+        "a0edfbb363f0487644282306f6c03b9fbce91aba95cab267879ca7bb5ffbd570",
+    ),
+    "orderings-jennings-ut5": (
+        ("orderings", "jennings", "ut:5"),
+        "8809625a8f31a554654e0980f1761b755673463d2769041df7ee29c11ef97acc",
+    ),
+    "orderings-jennings-heisenberg2": (
+        ("orderings", "jennings", "heisenberg:2"),
+        "49a51cd1799ae1d614b0c3aaa4be55a5246b1fec14998a1e6794656ccc296fca",
+    ),
+    "embed-jennings-ut4scheme-perturbed": (
+        ("embed", "jennings", "ut:4:scheme", "--order", "scheme-perturbed"),
+        "9c92868c7add3ec9b8be65d33cfedd26c3967c753fb23caf777bacb185ff5a17",
+    ),
+    "embed-jennings-ut5-perturbed": (
+        ("embed", "jennings", "ut:5", "--order", "scheme-perturbed"),
+        "6a155b24ef228a0d14101ce21168ee4654c71f5eaf350e5eae4953fa2be36ea8",
     ),
 }
 

@@ -1,11 +1,13 @@
 """Group-ring action embeddings: golden matrices and filtration laws."""
 
+import json
 import random
 
 import pytest
 
 from nilmat import distortion, jennings
-from nilmat.distortion import GuardError
+from nilmat.cli import main
+from nilmat.distortion import GuardError, lie_span
 from nilmat.jennings import (
     JenningsBasis,
     embedding_to_json,
@@ -301,3 +303,28 @@ def test_ut6_embedding():
     res = jennings_embedding(builtin("ut:6"))
     assert res.d == 624
     assert res.unitriangular and res.relators_ok
+
+
+def test_orderings_survey_builds_one_lie_series(monkeypatch, capsys):
+    # both named orders of heisenberg:2 give unitriangular images; the
+    # survey builds each generator's rows once, in weight-lex order, and
+    # one Lie series, which it permutes for the second order
+    p = builtin("heisenberg:2")
+    rows, spans = [0], [0]
+    orig = JenningsBasis._rows
+
+    def counted_rows(self, coords):
+        rows[0] += 1
+        return orig(self, coords)
+
+    def counted_span(mats):
+        spans[0] += 1
+        return lie_span(mats)
+
+    monkeypatch.setattr(JenningsBasis, "_rows", counted_rows)
+    monkeypatch.setattr(jennings, "lie_span", counted_span)
+    assert main(["orderings", "jennings", "heisenberg:2"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r["unitriangular"] for r in records] == [True, True]
+    assert spans[0] == 1
+    assert rows[0] == p.M

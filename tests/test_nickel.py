@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilmat import nickel
+from nilmat import jennings, nickel
 from nilmat.distortion import (
     GuardError,
     SubgroupGens,
@@ -331,9 +331,9 @@ def _hit_images(module, ordering):
     labels, and that order as basis indices."""
     index = {lab: i for i, lab in enumerate(module.labels)}
     perm = [index[lab] for lab in ordering]
-    base, shaped, _ = nickel._support(module)
-    assert shaped
-    return [nickel._permuted(mat, perm, True) for mat in base], perm
+    images = jennings._ordered(nickel._module_rows(module), perm)
+    assert all(isinstance(g, UnitriangularMatrix) for g in images)
+    return images, perm
 
 
 @pytest.mark.parametrize("name, sample", [
@@ -382,7 +382,7 @@ def test_survey_builds_one_lie_series(monkeypatch):
     monkeypatch.setattr(RationalNilpotentMatrix, "bracket", counted)
     lie_span(images)
     one = calls[0]
-    monkeypatch.setattr(nickel, "lie_span", counted_span)
+    monkeypatch.setattr(jennings, "lie_span", counted_span)
     calls[0] = 0
     records = ordering_search(module)
     assert sum(r["unitriangular"] for r in records) == 40

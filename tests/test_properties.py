@@ -8,11 +8,13 @@ slots with the group-side depth oracle, the CLI's exit code 1 on
 malformed subgroup JSON, the Newton calculus both embeddings share
 (binomials, lower-set differences, Newton-to-monomial expansion)
 against falling factorials and signed binomial sums, Nickel's integer
-act against the translate evaluated in Fractions, and the sparse
-square matrices' product, power and inverse against dense Fraction
-products and the adjugate."""
+act against the translate evaluated in Fractions, Jennings images in
+any basis order against the weight-lex images conjugated by the
+order, and the sparse square matrices' product, power and inverse
+against dense Fraction products and the adjugate."""
 
 import contextlib
+import functools
 import io
 import json
 import operator
@@ -39,6 +41,7 @@ from nilmat.distortion import (  # noqa: E402
     standardize,
     subgroup_depth,
 )
+from nilmat.jennings import jennings_embedding  # noqa: E402
 from nilmat.matgroup import (  # noqa: E402
     RationalSquareMatrix,
     UnitriangularMatrix,
@@ -284,6 +287,58 @@ def test_permuted_span_matches_the_conjugates_span(data):
     fresh = lie_span([conjugate(g, sigma) for g in gens])
     assert moved.strata() == fresh.strata()
     assert (moved.degree, moved.dimension) == (fresh.degree, fresh.dimension)
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_lex(name):
+    """The weight-lex Jennings embedding of a stock group, with the
+    support digraph of its images: an edge i -> j for each nonzero
+    off-diagonal entry (i, j) of some generator."""
+    emb = jennings_embedding(builtin(name))
+    edges = {
+        (i, j) for g in emb.generators for i, row in enumerate(g.rows)
+        for j, e in enumerate(row) if e and i != j
+    }
+    return emb, edges
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["ut:3", "ut:4", "heisenberg:2", "freenil23"]),
+       st.sampled_from(["any", "extension", "scheme-perturbed"]),
+       st.data())
+def test_jennings_orders_conjugate_the_weight_lex_images(name, kind, data):
+    # every basis order lists the weight-lex monomials, so its images
+    # are the weight-lex ones conjugated by the order's permutation, and
+    # they are unitriangular exactly when the order puts the source of
+    # every support edge first
+    lex, edges = _weight_lex(name)
+    d = lex.d
+    if kind == "scheme-perturbed":
+        assume(builtin(name).positions is not None)
+        order = kind
+    elif kind == "any":
+        order = tuple(data.draw(st.permutations(range(d))))
+    else:
+        left, order = set(range(d)), []
+        while left:
+            ready = [j for j in sorted(left)
+                     if all((k, j) not in edges for k in left)]
+            order.append(data.draw(st.sampled_from(ready)))
+            left.remove(order[-1])
+        order = tuple(order)
+    res = jennings_embedding(builtin(name), order=order)
+    perm = [lex.ordering.index(m) for m in res.ordering]
+    pos = {i: r for r, i in enumerate(perm)}
+    extends = all(pos[i] < pos[j] for i, j in edges)
+    assert res.relators_ok
+    assert res.unitriangular == extends
+    for g, ref in zip(res.generators, lex.generators):
+        assert isinstance(g, UnitriangularMatrix) == extends
+        rows, ref = g.rows, ref.rows
+        assert all(
+            rows[r][c] == ref[perm[r]][perm[c]]
+            for r in range(d) for c in range(d)
+        )
 
 
 DEFECTS = ("rows text", "row text", "ragged", "n", "diagonal", "below",
