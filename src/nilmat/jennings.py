@@ -8,6 +8,14 @@ group element acts on that basis by an integer matrix, and with a
 suitable basis order the matrix is unitriangular.  The resulting
 representation is faithful once the truncation exceeds the nilpotency
 class.
+
+The rows of an element g's matrix come from the tail of g: if x_k is
+the first generator in g = x_k^a g', then
+u^r g = u^q u_k^r_k (1 - u_k)^a T(s) for r = (q, r_k, s), where T(s),
+the expansion of x_k^-a u^s x_k^a g' over the generators after x_k, is a
+signed binomial sum of collector products x_k^-a x^s' g over the tail
+monomials s' <= s.  So a matrix costs one collector product per tail
+monomial, not one per basis monomial (JenningsBasis._rows).
 """
 
 from __future__ import annotations
@@ -137,17 +145,17 @@ class JenningsBasis:
         self.mu = tuple(mu_of[m] for m in self.monomials)
         self._lex = lex
         # a monomial's code is its exponent tuple read in mixed radix,
-        # digit k running over 0 .. cutoff // w_k; codes key the
+        # digit k running over 0 .. cutoff // w_k with place value
+        # radix[k], and radix[M] the number of codes; codes key the
         # weight-lex columns
-        radix, step = [], 1
+        radix = [1]
         for w in presentation.weights:
-            radix.append(step)
-            step *= cutoff // w + 1
+            radix.append(radix[-1] * (cutoff // w + 1))
         self._radix = tuple(radix)
-        self._column = {
-            sum(e * R for e, R in zip(m, radix)): k
-            for k, m in enumerate(lex)
-        }
+        self._codes = tuple(
+            sum(e * R for e, R in zip(m, radix)) for m in lex
+        )
+        self._column = {code: k for k, code in enumerate(self._codes)}
 
     def __len__(self):
         return len(self.monomials)
@@ -156,11 +164,12 @@ class JenningsBasis:
         """Expansion of the group element with the given exponent tuple
         over the monomial basis, as a dict monomial -> int coefficient.
         """
-        lex = self._lex
-        return {lex[k]: c for k, c in self._expand(coords).items()}
+        lex, column = self._lex, self._column
+        terms = self._terms(coords)
+        return {lex[column[code]]: c for code, c in terms.items()}
 
-    def _expand(self, coords, sign=1):
-        """expand_group keyed by weight-lex column, times sign.
+    def _terms(self, coords, sign=1):
+        """expand_group keyed by monomial code, times sign.
 
         The normal word x_1^a_1 ... x_M^a_M is already in generator
         order, so the product of the power series (1 - u_k)^a_k needs
@@ -177,8 +186,7 @@ class JenningsBasis:
                     for code, c, room in terms
                     for e, s in enumerate(series[:room // w + 1])
                 ]
-        column = self._column
-        return {column[code]: c for code, c, _ in terms}
+        return {code: c for code, c, _ in terms}
 
     def element_matrix(self, coords):
         """Matrix of right multiplication by the element g with the
@@ -191,28 +199,59 @@ class JenningsBasis:
         """The rows of element_matrix in weight-lex order, as sparse
         dicts, column -> nonzero int, the diagonal included.
 
-        The monomial u^r = (1 - x_1)^r_1 ... (1 - x_M)^r_M is the signed
-        sum over j <= r of (-1)^|j| C(r, j) x^j, where x^j is the group
-        element with exponent tuple j, so the row of u^r is
-        (1 + E)^r G(0), the iterated binomial sum of the signed rows
-        G(j) = (-1)^|j| (expansion of x^j g), E the shift.  Every j <= r
-        is itself a basis monomial (the basis is a lower set), so G
-        costs one collector product per basis monomial, and the sums are
-        taken in place by presentation._differences with the step a + b
-        in place of a - b.
+        Let x_k be the first generator with a nonzero exponent a in g,
+        so g = x_k^a g' with g' a word in the generators after x_k, and
+        split a basis monomial's exponents as r = (q, r_k, s): those
+        before k, at k and after k.  Since u^s x_k^a = x_k^a x_k^-a u^s x_k^a,
+
+            u^r g = u^q u_k^r_k (1 - u_k)^a T(s),
+            T(s) = x_k^-a u^s x_k^a g'
+                 = sum over s' <= s of (-1)^|s'| C(s, s') x_k^-a x^s' g,
+
+        x^s' being the group element with exponent tuple (0, .., 0, s').
+        The generators after x_k generate a normal subgroup holding every
+        x_k^-a x^s' g, so T(s) expands over the tail monomials u^t alone,
+        and u^q u_k^(r_k + e) u^t is an ordered monomial whose code is
+        the sum of the codes of its parts.  So the collector makes one
+        product per tail monomial s' (a lower set that embeds in the
+        basis as s' -> (0, .., 0, s')), the binomial sums are taken in
+        place by presentation._differences with the step a + b in place
+        of a - b, and each row is assembled by adding codes; a code that
+        is no basis column lies past the truncation and is dropped.  The
+        identity has the identity rows and needs no collector product.
         """
         p = self.presentation
         coords = tuple(coords)
-        lex = self._lex
+        lex, column, cutoff = self._lex, self._column, self.cutoff
+        k = next((k for k, a in enumerate(coords) if a), None)
+        if k is None:
+            return [{r: 1} for r in range(len(lex))]
+        a, w, R = coords[k], p.weights[k], self._radix[k]
+        head = (0,) * k + (-a,)
+        grid = _grid(p.weights[k + 1:], cutoff)
         table = {
-            r: self._expand(p.multiply(r, coords), -1 if sum(r) & 1 else 1)
-            for r in lex
+            s: self._terms(
+                p.multiply(head + s, coords), -1 if sum(s) & 1 else 1
+            )
+            for s in grid[0]
         }
-        _differences(
-            table, lambda a, b: _add_into(a, 1, b),
-            _grid(p.weights, self.cutoff),
-        )
-        return [table[r] for r in lex]
+        _differences(table, lambda x, y: _add_into(x, 1, y), grid)
+        top = cutoff // w
+        series = [-c if e & 1 else c for e, c in enumerate(_binomials(a, top))]
+        split = self._radix[k + 1]  # a code % split is its digits to k
+        rows = []
+        for code, r in zip(self._codes, lex):
+            tail = table[r[k + 1:]].items()
+            code %= split
+            row = {}
+            for c in series[:top - r[k] + 1]:
+                for t, v in tail:
+                    col = column.get(code + t)
+                    if col is not None:
+                        row[col] = c * v
+                code += R
+            rows.append(row)
+        return rows
 
     def action_matrix(self, k):
         """element_matrix of the k-th generator (1-based)."""

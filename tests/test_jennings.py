@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -14,8 +15,17 @@ from nilmat.jennings import (
     image_weights,
     jennings_embedding,
 )
-from nilmat.matgroup import RationalSquareMatrix, UnitriangularMatrix
-from nilmat.presentation import builtin, evaluate_coords
+from nilmat.matgroup import (
+    RationalSquareMatrix,
+    UnitriangularMatrix,
+    _add_into,
+)
+from nilmat.presentation import (
+    _differences,
+    _grid,
+    builtin,
+    evaluate_coords,
+)
 
 
 def sparse(n, entries):
@@ -279,6 +289,8 @@ def test_element_matrix_is_product_of_generator_powers(name):
 def test_element_matrix_calls_collector_once_per_monomial(
     name, monkeypatch
 ):
+    # one outer collector product per tail monomial: the monomials in
+    # the generators after the word's first, listed here by brute force
     p = builtin(name)
     basis = JenningsBasis(p)
     orig = type(p).multiply
@@ -294,9 +306,73 @@ def test_element_matrix_calls_collector_once_per_monomial(
         finally:
             depth[0] -= 1
 
+    def outer_calls(word):
+        calls[0] = 0
+        basis.element_matrix(word)
+        return calls[0]
+
     monkeypatch.setattr(type(p), "multiply", counted)
-    basis.element_matrix((1,) + (-2,) * (p.M - 1))
-    assert calls[0] <= len(basis)
+    tail = p.weights[1:]
+    top = basis.cutoff
+    tails = sum(
+        sum(e * w for e, w in zip(s, tail)) <= top
+        for s in product(*(range(top // w + 1) for w in tail))
+    )
+    assert outer_calls((1,) + (-2,) * (p.M - 1)) == tails < len(basis)
+    assert outer_calls(p.identity()) == 0
+    assert outer_calls(p.generator(p.M)) == 1
+
+
+def _rows_by_full_table(basis, coords):
+    """The weight-lex rows of basis.element_matrix(coords) by the whole
+    lower set: u^r = sum over j <= r of (-1)^|j| C(r, j) x^j, so the row
+    of u^r is the binomial sum of the signed expansions of x^j g, one
+    collector product per basis monomial j, summed in place."""
+    p = basis.presentation
+    lex = basis._lex
+    column = {m: k for k, m in enumerate(lex)}
+    table = {
+        r: {
+            column[m]: -c if sum(r) & 1 else c
+            for m, c in basis.expand_group(p.multiply(r, coords)).items()
+        }
+        for r in lex
+    }
+    _differences(
+        table, lambda a, b: _add_into(a, 1, b), _grid(p.weights, basis.cutoff)
+    )
+    return [table[r] for r in lex]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ut:3", "ut:4", "ut:4:scheme", "heisenberg:2", "heisenberg:3",
+     "freenil23"],
+)
+def test_rows_from_the_tail_match_the_full_table(name):
+    # the tail factorisation against the whole-lower-set construction,
+    # on words with any first support (the identity included) and
+    # negative exponents, at truncations c+1 to c+3
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    p = builtin(name)
+    c = max(p.weights)
+    bases = [JenningsBasis(p, truncation=c + e) for e in (1, 2, 3)]
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(st.sampled_from(bases), st.integers(0, p.M), st.data())
+    def check(basis, first, data):
+        word = [0] * first
+        if first < p.M:
+            word.append(data.draw(st.integers(-3, 3).filter(bool)))
+            word += data.draw(
+                st.lists(st.integers(-3, 3), min_size=p.M - first - 1,
+                         max_size=p.M - first - 1)
+            )
+        assert basis._rows(word) == _rows_by_full_table(basis, tuple(word))
+
+    check()
 
 
 def test_ut6_embedding():
