@@ -61,7 +61,6 @@ __all__ = [
     "standardize",
     "member",
     "member_certificate",
-    "intersect_level_subgroup",
     "lower_central_gens",
     "LieAlgebraSpan",
     "lie_span",
@@ -165,19 +164,21 @@ class StandardizedSequence:
     Slots are ordered by the lead of their first nonzero entry in
     level-major order (see matgroup._lead); lead_pairs holds each lead
     as (level, 0-based row), strictly increasing, and lead coefficients
-    are positive.  After conjugation closure the sequence is polycyclic:
-    every element of the subgroup is a product of slot powers in slot
-    order, which makes membership decidable by a greedy peel with
-    divisibility checks.
+    are positive.  inverses[i] is slots[i] ** -1, kept from standardize.
+    After conjugation closure the sequence is polycyclic: every element
+    of the subgroup is a product of slot powers in slot order, which
+    makes membership decidable by a greedy peel with divisibility
+    checks.
     """
 
-    __slots__ = ("n", "slots", "lead_pairs", "coeffs")
+    __slots__ = ("n", "slots", "lead_pairs", "coeffs", "inverses")
 
-    def __init__(self, n, slots, lead_pairs, coeffs):
+    def __init__(self, n, slots, lead_pairs, coeffs, inverses):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "slots", tuple(slots))
         object.__setattr__(self, "lead_pairs", tuple(lead_pairs))
         object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "inverses", tuple(inverses))
 
     def __setattr__(self, name, value):
         raise AttributeError("StandardizedSequence is immutable")
@@ -221,17 +222,47 @@ def _power(x, xi, e):
     return binary_power(x, e, identity(x.n), inverse=lambda _: xi)
 
 
+def _peel(m, slots, inverses, exps=None):
+    """Reduce m by the slots, lead by lead, as far as they reach.
+
+    slots and inverses map a lead (level, row) to a slot and to its
+    inverse.  While m's lead is a slot's lead and that slot's lead
+    coefficient divides m's, m is multiplied on the left by the power
+    of the slot, or of its inverse, that clears the lead; the exponent
+    cleared is stored in exps[lead] when exps is given.  Each step
+    raises the lead, since at the lead's level a product adds entries.
+    No inverse is formed.  Returns (lead, coefficient, rest) where it
+    stops: rest's lead and lead coefficient, with lead None when rest
+    is the identity.
+    """
+    while True:
+        k = _lead(m)
+        if k is None:
+            return None, 0, m
+        level, i = k
+        a = m.entries[i][i + level]
+        g = slots.get(k)
+        if g is None:
+            return k, a, m
+        e, r = divmod(a, g.entries[i][i + level])
+        if r:
+            return k, a, m
+        if exps is not None:
+            exps[k] = e
+        m = _power(g, inverses[k], -e) * m
+
+
 class _Sifter:
     """Mutable workspace for building a standardized sequence.
 
     Slots are keyed by their lead (level, row).  Each slot's inverse is
-    kept beside it in ``inverses`` (inverted once, when the slot is set),
-    so a reduction step is a power of the slot or of its inverse times
-    the element.  The inverses stay here and are not copied to the
-    StandardizedSequence.  ``assigned`` counts slot assignments: a sift
-    is a deterministic function of the element and the slots, so while
-    the count stands still, sifting the same element again changes
-    nothing.
+    kept beside it in ``inverses`` (inverted once, when the slot is
+    set), so a reduction step is a power of the slot or of its inverse
+    times the element.  A sift peels the element (_peel); where the
+    peel stops short of the identity, the element fills an empty slot,
+    or, at a slot whose lead coefficient does not divide the element's,
+    an xgcd merge of the two replaces the slot, the old slot is queued
+    for sifting again, and the peel resumes.
     """
 
     def __init__(self, n):
@@ -239,41 +270,32 @@ class _Sifter:
         self.slots = {}
         self.inverses = {}
         self.queue = []
-        self.assigned = 0
-
-    def _assign(self, k, g, gi):
-        self.slots[k], self.inverses[k] = g, gi
-        self.assigned += 1
 
     def sift(self, m):
         while True:
-            k = _lead(m)
+            k, a, m = _peel(m, self.slots, self.inverses)
             if k is None:
                 return
-            level, i = k
-            a = m.entries[i][i + level]
             g = self.slots.get(k)
             if g is None:
                 mi = m.inverse()
-                self._assign(k, *((m, mi) if a > 0 else (mi, m)))
+                self.slots[k], self.inverses[k] = (m, mi) if a > 0 else (mi, m)
                 return
+            level, i = k
             gi = self.inverses[k]
-            c = g.entries[i][i + level]
-            if a % c:
-                d, u, v = _xgcd(c, a)
-                # h = g**u * m**v has lead coefficient u*c + v*a = d > 0.
-                # Only m**-1 is unknown, so form whichever of h and h**-1
-                # takes a positive power of m, and invert that one.
-                if v > 0:
-                    h = _power(g, gi, u) * m**v
-                    hi = h.inverse()
-                else:
-                    hi = m ** (-v) * _power(g, gi, -u)
-                    h = hi.inverse()
-                self._assign(k, h, hi)
-                self.queue.append(g)
-                g, gi, c = h, hi, d
-            m = _power(g, gi, -(a // c)) * m
+            d, u, v = _xgcd(g.entries[i][i + level], a)
+            # h = g**u * m**v has lead coefficient u*c + v*a = d > 0,
+            # c being g's.
+            # Only m**-1 is unknown, so form whichever of h and h**-1
+            # takes a positive power of m, and invert that one.
+            if v > 0:
+                h = _power(g, gi, u) * m**v
+                hi = h.inverse()
+            else:
+                hi = m ** (-v) * _power(g, gi, -u)
+                h = hi.inverse()
+            self.slots[k], self.inverses[k] = h, hi
+            self.queue.append(g)
 
     def drain(self):
         while self.queue:
@@ -290,48 +312,57 @@ def standardize(sub):
     is certain (slots only gain positions or shrink lead coefficients)
     but a generous round cap guards against implementation bugs.  The
     conjugations read each slot's inverse from the sifter, which keeps
-    it beside the slot; the returned sequence holds only the slots.
+    it beside the slot; the returned sequence keeps them too.
 
-    A pair (ka, kb) whose two conjugate sifts assigned no slot, with
-    slot ka as the conjugator, is skipped in later rounds while the
-    sifter's assignment count is unchanged: its conjugates and the
-    slots are then the same, so the sifts would be exact no-ops.  Every
-    sift that can change a slot still runs in the same order, so the
-    slots are those of the closure without the skip.  Raises
-    GuardError, before building anything, when N(N-1)/2 exceeds
-    MAX_POSITIONS.
+    Before each round of conjugate sifts over all pairs of slots, a dry
+    check peels every forward conjugate s_a**-1 * s_b * s_a with
+    lead(s_a) < lead(s_b), changing no slot, and the closure stops when
+    each peels to the identity.  That is exact.  Let N_a be the set of
+    normal words in s_a and the slots after it.  From the last slot
+    down, if N_b (b = a + 1) is a subgroup, the check puts
+    s_a**-1 N_b s_a inside N_b; since subgroups of UT_n(Z) satisfy the
+    ascending chain condition, the chain N_b <= s_a N_b s_a**-1 <= ...
+    is stationary, so s_a normalizes N_b and N_a = <s_a> N_b is a
+    subgroup.  Then N_1, which holds the slots, is the whole subgroup,
+    a member's peel ends at the identity, and every later sift, either
+    conjugate of either pair included, would change nothing.  When the
+    check fails, the round sifts some conjugate that changes a slot, so
+    the closure runs exactly the rounds, in the same order, that it
+    would run until a round changed nothing.  Raises GuardError, before
+    building anything, when N(N-1)/2 exceeds MAX_POSITIONS.
     """
     cap = _check_positions(sub.n) ** 2 + 4
     sifter = _Sifter(sub.n)
     for g in sub.generators:
         sifter.sift(g)
     sifter.drain()
-    # slots are only ever assigned, never removed
-    idle = {}  # (ka, kb) -> assignment count when its sifts last did nothing
+    slots, inverses = sifter.slots, sifter.inverses
     for _ in range(cap):
-        snapshot = dict(sifter.slots)
-        for ka in sorted(snapshot):
-            a = sifter.slots[ka]
-            ai = sifter.inverses[ka]
-            for kb in sorted(snapshot):
-                count = sifter.assigned
-                if kb == ka or idle.get((ka, kb)) == count:
-                    continue
-                sifter.sift(ai * sifter.slots[kb] * a)
-                sifter.drain()
-                sifter.sift(a * sifter.slots[kb] * ai)
-                sifter.drain()
-                # a is read once per ka, so it can be a replaced slot
-                if sifter.assigned == count and a is sifter.slots[ka]:
-                    idle[ka, kb] = count
-        if sifter.slots == snapshot:
+        leads = sorted(slots)
+        if all(
+            _peel(inverses[ka] * slots[kb] * slots[ka], slots, inverses)[0]
+            is None
+            for ka, kb in combinations(leads, 2)
+        ):
             break
+        for ka in leads:
+            a, ai = slots[ka], inverses[ka]
+            for kb in leads:
+                if kb == ka:
+                    continue
+                sifter.sift(ai * slots[kb] * a)
+                sifter.drain()
+                sifter.sift(a * slots[kb] * ai)
+                sifter.drain()
     else:
         raise RuntimeError("conjugation closure did not stabilize")
-    leads = sorted(sifter.slots)
-    slots = [sifter.slots[k] for k in leads]
-    coeffs = [s.entries[i][i + l] for (l, i), s in zip(leads, slots)]
-    return StandardizedSequence(sub.n, slots, leads, coeffs)
+    return StandardizedSequence(
+        sub.n,
+        [slots[k] for k in leads],
+        leads,
+        [slots[l, i].entries[i][i + l] for l, i in leads],
+        [inverses[k] for k in leads],
+    )
 
 
 def _as_sequence(sub):
@@ -358,52 +389,30 @@ def _nontrivial_sequence(sub):
 def member_certificate(h, sub):
     """Exponent tuple e with h == prod(slot_i ** e_i), or None.
 
-    The greedy peel is complete thanks to the closure performed by
-    standardize: a nonmember fails either a divisibility check or by
-    leaving a nonzero residue.
+    The greedy peel (_peel) over the slots, with the inverses the
+    sequence keeps, so no inverse is formed.  The peel is complete
+    thanks to the closure performed by standardize: a nonmember stops
+    it at a lead that is no slot's, at a lead coefficient the slot's
+    does not divide, or with a residue past the last slot.
     """
     seq = _as_sequence(sub)
     if h.n != seq.n:
         raise ValueError("size mismatch")
-    exps = []
-    cur = h
-    for k, slot, c in zip(seq.lead_pairs, seq.slots, seq.coeffs):
-        lead = _lead(cur)
-        if lead is None:
-            exps.extend([0] * (len(seq) - len(exps)))
-            return tuple(exps)
-        if lead < k:
-            return None
-        l, i = k
-        a = cur.entries[i].get(i + l, 0)
-        if a % c:
-            return None
-        e = a // c
-        exps.append(e)
-        if e:
-            cur = slot ** (-e) * cur
-    if _lead(cur) is not None:
+    exps = {}
+    lead, _, _ = _peel(
+        h,
+        dict(zip(seq.lead_pairs, seq.slots)),
+        dict(zip(seq.lead_pairs, seq.inverses)),
+        exps,
+    )
+    if lead is not None:
         return None
-    return tuple(exps)
+    return tuple(exps.get(k, 0) for k in seq.lead_pairs)
 
 
 def member(h, sub):
     """True when h lies in the subgroup."""
     return member_certificate(h, sub) is not None
-
-
-def intersect_level_subgroup(sub, l):
-    """Generators of the intersection with the ambient subgroup of
-    matrices at depth >= l.
-
-    In the level-major slot order this intersection is generated by
-    the tail of slots whose lead depth is at least l.
-    """
-    seq = _as_sequence(sub)
-    gens = [
-        s for s, lvl in zip(seq.slots, seq.levels) if lvl >= l
-    ]
-    return SubgroupGens(seq.n, gens)
 
 
 @lru_cache(maxsize=128)

@@ -31,7 +31,6 @@ __all__ = [
     "elementary",
     "commutator",
     "level_weight",
-    "in_level_subgroup",
     "malcev_coordinates",
     "from_coordinates",
     "log_unipotent",
@@ -256,13 +255,6 @@ def level_weight(m):
     if lead is None:
         raise ValueError("identity matrix has no finite weight")
     return lead[0]
-
-
-def in_level_subgroup(m, l):
-    """True when every entry strictly closer to the diagonal than
-    level l vanishes, i.e. m sits at depth >= l."""
-    lead = _lead(m)
-    return lead is None or lead[0] >= l
 
 
 class PositionBasis:

@@ -147,14 +147,6 @@ class NilpotentPresentation:
             tuple(a), e, self._zero, self.multiply, self.inverse
         )
 
-    def weight_of(self, a):
-        """Lower-central depth of the element: the smallest generator
-        weight appearing in its normal form."""
-        live = [self.weights[k] for k, e in enumerate(a) if e]
-        if not live:
-            raise ValueError("identity has no finite weight")
-        return min(live)
-
     # -- collection internals ------------------------------------------
 
     def _conj_tail(self, vec, g, e):

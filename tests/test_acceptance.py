@@ -2,14 +2,17 @@
 
 One test per criterion of the built-in verification suite, in suite
 order, each reporting its own pass/fail line, plus the command-line
-entry point run as a real subprocess.
+entry point run as a real subprocess and the package's exports.
 """
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import nilmat
 from nilmat.verify import run_all
 
 
@@ -83,3 +86,16 @@ def test_criterion_11_cli_verify_paper_exits_0(suite):
     lines = [l for l in proc.stdout.splitlines() if l.startswith("PASS")]
     assert len(lines) == 10
     print("criterion 11: PASS verify-paper exits 0")
+
+
+def test_every_exported_name_resolves():
+    modules = [nilmat] + [
+        importlib.import_module(f"nilmat.{m.name}")
+        for m in pkgutil.iter_modules(nilmat.__path__)
+    ]
+    for module in modules:
+        missing = [
+            name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert not missing, (module.__name__, missing)

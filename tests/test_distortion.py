@@ -19,7 +19,6 @@ from nilmat.distortion import (
     distorted_subgroup,
     distortion_degree,
     empirical_distortion,
-    intersect_level_subgroup,
     lie_span,
     lower_central_gens,
     member,
@@ -75,6 +74,35 @@ def test_standardize_keeps_index():
     assert not member(elementary(3, 1, 2), seq)
 
 
+def test_member_certificate_refuses_where_the_peel_stops():
+    # slots e12**2 and e34 of UT_4: e23's lead is no slot's, e12's lead
+    # coefficient is not a multiple of 2, and e14 is left past the last
+    # slot once e12**2 and e34 are peeled
+    e12, e23, e34, e14 = (
+        elementary(4, i, j) for i, j in ((1, 2), (2, 3), (3, 4), (1, 4))
+    )
+    seq = standardize(SubgroupGens(4, [e12 ** 2, e34]))
+    assert seq.lead_pairs == ((1, 0), (1, 2))
+    for outsider in (e23, e12, e12 ** 2 * e34 * e14):
+        assert member_certificate(outsider, seq) is None
+    assert member_certificate(e12 ** -4 * e34 ** 3, seq) == (-2, 3)
+
+
+def test_member_certificate_forms_no_inverse(monkeypatch):
+    seq = standardize(disguised(9, 4, 94))
+    words = [s ** e for s in seq.slots for e in (-2, 3)]
+    words.append(seq.slots[0] ** -1 * seq.slots[-1] ** 5 * seq.slots[1])
+    inverses = counting(monkeypatch, UnitriangularMatrix, "inverse")
+    certs = [member_certificate(h, seq) for h in words]
+    assert inverses[0] == 0
+    monkeypatch.undo()
+    for h, cert in zip(words, certs):
+        out = identity(seq.n)
+        for s, e in zip(seq.slots, cert):
+            out = out * s ** e
+        assert out == h
+
+
 def test_membership_accepts_words_and_certifies_them():
     rng = random.Random(717)
     checked = 0
@@ -112,14 +140,6 @@ def test_membership_rejects_outside_the_span():
         assert not span.contains(log_unipotent(outsider))
         assert not member(outsider, seq)
     assert member(elementary(3, 1, 2) * elementary(3, 1, 3) ** 2, seq)
-
-
-def test_intersect_level_subgroup():
-    seq = standardize(full_ut3())
-    assert len(intersect_level_subgroup(seq, 1).generators) == 3
-    deep = intersect_level_subgroup(seq, 2)
-    assert [level_weight(g) for g in deep.generators] == [2]
-    assert intersect_level_subgroup(seq, 3).generators == ()
 
 
 def test_lower_central_gens():
@@ -498,32 +518,80 @@ def test_degree_takes_each_slot_logarithm_once(monkeypatch):
     ]
 
 
+def reference_xgcd(a, b):
+    """(g, u, v) with u*a + v*b == g == gcd(a, b) > 0, by the extended
+    Euclidean algorithm standardize's merges use."""
+    old_r, r, old_u, u, old_v, v = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+        old_v, v = v, old_v - q * v
+    if old_r < 0:
+        return -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
+
+
 def reference_standardize(sub):
-    """standardize's closure without the skip of idle pairs: every pair
-    is sifted again in every round.  Returns (lead_pairs, slots,
-    coeffs)."""
-    sifter = distortion._Sifter(sub.n)
+    """standardize's closure with none of its shortcuts, and none of its
+    code: sift the generators, then sift both conjugates of every pair
+    of slots in every round until a round changes no slot.  Returns
+    (lead_pairs, slots, coeffs, inverses, sifts), sifts the number of
+    sift calls made."""
+    slots, inverses, queue, sifts = {}, {}, [], 0
+
+    def power(k, e):
+        return slots[k] ** e if e >= 0 else inverses[k] ** -e
+
+    def lead(m):
+        return min(
+            ((j - i, i) for i, row in enumerate(m.entries) for j in row),
+            default=None,
+        )
+
+    def sift(m):
+        nonlocal sifts
+        sifts += 1
+        while (k := lead(m)) is not None:
+            level, i = k
+            a = m.entries[i][i + level]
+            if k not in slots:
+                mi = m.inverse()
+                slots[k], inverses[k] = (m, mi) if a > 0 else (mi, m)
+                return
+            c = slots[k].entries[i][i + level]
+            if a % c:
+                d, u, v = reference_xgcd(c, a)
+                h = power(k, u) * m ** v
+                queue.append(slots[k])
+                slots[k], inverses[k], c = h, h.inverse(), d
+            m = power(k, -(a // c)) * m
+
+    def drain():
+        while queue:
+            sift(queue.pop())
+
     for g in sub.generators:
-        sifter.sift(g)
-    sifter.drain()
+        sift(g)
+    drain()
     while True:
-        snapshot = dict(sifter.slots)
+        snapshot = dict(slots)
         for ka in sorted(snapshot):
-            a, ai = sifter.slots[ka], sifter.inverses[ka]
+            a, ai = slots[ka], inverses[ka]
             for kb in sorted(snapshot):
                 if kb == ka:
                     continue
-                sifter.sift(ai * sifter.slots[kb] * a)
-                sifter.drain()
-                sifter.sift(a * sifter.slots[kb] * ai)
-                sifter.drain()
-        if sifter.slots == snapshot:
+                sift(ai * slots[kb] * a)
+                drain()
+                sift(a * slots[kb] * ai)
+                drain()
+        if slots == snapshot:
             break
-    leads = sorted(sifter.slots)
-    slots = [sifter.slots[k] for k in leads]
+    leads = sorted(slots)
     return (
-        tuple(leads), tuple(slots),
-        tuple(s.rows[i][i + l] for (l, i), s in zip(leads, slots)),
+        tuple(leads), tuple(slots[k] for k in leads),
+        tuple(slots[l, i].entries[i][i + l] for l, i in leads),
+        tuple(inverses[k] for k in leads), sifts,
     )
 
 
@@ -555,13 +623,14 @@ def equivalence_inputs():
 
 
 def test_engine_shortcuts_keep_slots_depths_and_reports():
-    # the closure's skip of idle pairs keeps every slot, and the series
-    # of the generators gives every slot the depth the slot series gives
+    # the closure's dry check keeps every slot and its inverse, and the
+    # series of the generators gives every slot the depth the slot
+    # series gives
     routes = [0, 0]
     for sub in equivalence_inputs():
         seq = standardize(sub)
-        assert (seq.lead_pairs, seq.slots, seq.coeffs) == (
-            reference_standardize(sub)
+        assert (seq.lead_pairs, seq.slots, seq.coeffs, seq.inverses) == (
+            reference_standardize(sub)[:4]
         ), sub
         if not seq.slots:
             continue
@@ -626,13 +695,17 @@ def test_subgroup_depth_brackets_the_generators(monkeypatch):
     assert report.degree == Fraction(16, 16)
 
 
-def test_closure_skips_idle_pairs(monkeypatch):
+def test_closure_stops_on_a_dry_check(monkeypatch):
+    # the dry check stops the closure where a round would change
+    # nothing, so it sifts no confirming round
     sub = disguised(16, 5, 165)
     sifts = counting(monkeypatch, distortion._Sifter, "sift")
     seq = standardize.__wrapped__(sub)
-    skipping = sifts[0]
-    assert (seq.lead_pairs, seq.slots, seq.coeffs) == reference_standardize(sub)
-    assert skipping < sifts[0] - skipping
+    *slots, reference_sifts = reference_standardize(sub)
+    assert (
+        seq.lead_pairs, seq.slots, seq.coeffs, seq.inverses
+    ) == tuple(slots)
+    assert 2 * sifts[0] < reference_sifts
 
 
 def test_lie_span_brackets_each_base_pair_once(monkeypatch):

@@ -15,7 +15,6 @@ from nilmat.matgroup import (
     exp_nilpotent,
     from_coordinates,
     identity,
-    in_level_subgroup,
     level_weight,
     log_unipotent,
     malcev_coordinates,
@@ -80,10 +79,6 @@ def test_level_weight_and_level_subgroup():
     assert level_weight(elementary(5, 1, 5)) == 4
     with pytest.raises(ValueError):
         level_weight(identity(4))
-    g = elementary(4, 1, 3) * elementary(4, 1, 4)
-    assert in_level_subgroup(g, 2)
-    assert not in_level_subgroup(g, 3)
-    assert in_level_subgroup(identity(4), 3)
 
 
 def test_position_basis_flavors():

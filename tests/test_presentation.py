@@ -340,14 +340,6 @@ def test_builtin_size_cap(monkeypatch):
         ) in str(info.value), name
 
 
-def test_weight_of():
-    p = builtin("freenil23")
-    assert p.weight_of((0, 0, 1, 0, 2)) == 2
-    assert p.weight_of((0, 0, 0, 0, 2)) == 3
-    with pytest.raises(ValueError):
-        p.weight_of(p.identity())
-
-
 def test_deep_validation_flags_inconsistent_relations():
     relations = {
         (2, 1): (0, 0, 0, 1, 0),

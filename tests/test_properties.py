@@ -48,7 +48,6 @@ from nilmat.matgroup import (  # noqa: E402
     _lead,
     elementary,
     identity,
-    in_level_subgroup,
     level_weight,
     matrix_to_json,
 )
@@ -110,8 +109,6 @@ def test_lead_is_the_level_major_minimum(m):
             level_weight(m)
     else:
         assert level_weight(m) == lead[0]
-    for l in range(0, m.n + 1):
-        assert in_level_subgroup(m, l) == (lead is None or lead[0] >= l)
 
 
 @fast
