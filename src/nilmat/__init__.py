@@ -5,123 +5,20 @@ torsion-free nilpotent groups (group-ring and coordinate-function
 constructions), measures how distorted a subgroup's word metric is
 inside the ambient unitriangular group, and constructs subgroups with
 any prescribed rational distortion degree.
+
+The public surface is the ``__all__`` of the five library modules,
+each re-exported here: matgroup (matrices, the immutable-record base
+and the size guard), presentation, distortion, jennings and nickel.
 """
 
-from .distortion import (
-    DistortionReport,
-    GuardError,
-    Stratum,
-    SubgroupGens,
-    ball,
-    brute_force_degree,
-    depth_by_powers,
-    distorted_subgroup,
-    distortion_degree,
-    empirical_distortion,
-    lie_span,
-    lower_central_gens,
-    member,
-    member_certificate,
-    report_to_json,
-    standardize,
-    subgroup_depth,
-    subgroup_from_json,
-    subgroup_to_json,
-)
-from .jennings import (
-    EmbeddingResult,
-    JenningsBasis,
-    embedding_to_json,
-    image_degree,
-    image_weights,
-    jennings_embedding,
-)
-from .matgroup import (
-    PositionBasis,
-    RationalNilpotentMatrix,
-    RationalSquareMatrix,
-    UnitriangularMatrix,
-    commutator,
-    elementary,
-    exp_nilpotent,
-    from_coordinates,
-    identity,
-    level_weight,
-    log_unipotent,
-    malcev_coordinates,
-    matrix_from_json,
-    matrix_to_json,
-)
-from .nickel import (
-    CoordinatePolynomial,
-    FunctionModule,
-    act,
-    declared_ordering,
-    function_module,
-    nickel_embedding,
-    ordering_search,
-)
-from .presentation import (
-    NilpotentPresentation,
-    builtin,
-    presentation_from_json,
-    presentation_to_json,
-    relation_failures,
-)
+from . import distortion, jennings, matgroup, nickel, presentation
+from .distortion import *  # noqa: F403
+from .jennings import *  # noqa: F403
+from .matgroup import *  # noqa: F403
+from .nickel import *  # noqa: F403
+from .presentation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoordinatePolynomial",
-    "DistortionReport",
-    "EmbeddingResult",
-    "FunctionModule",
-    "GuardError",
-    "JenningsBasis",
-    "NilpotentPresentation",
-    "PositionBasis",
-    "RationalNilpotentMatrix",
-    "RationalSquareMatrix",
-    "Stratum",
-    "SubgroupGens",
-    "UnitriangularMatrix",
-    "act",
-    "ball",
-    "brute_force_degree",
-    "builtin",
-    "commutator",
-    "declared_ordering",
-    "depth_by_powers",
-    "distorted_subgroup",
-    "distortion_degree",
-    "elementary",
-    "embedding_to_json",
-    "empirical_distortion",
-    "exp_nilpotent",
-    "from_coordinates",
-    "function_module",
-    "identity",
-    "image_degree",
-    "image_weights",
-    "jennings_embedding",
-    "level_weight",
-    "lie_span",
-    "log_unipotent",
-    "lower_central_gens",
-    "malcev_coordinates",
-    "matrix_from_json",
-    "matrix_to_json",
-    "member",
-    "member_certificate",
-    "nickel_embedding",
-    "ordering_search",
-    "presentation_from_json",
-    "presentation_to_json",
-    "relation_failures",
-    "report_to_json",
-    "standardize",
-    "subgroup_depth",
-    "subgroup_from_json",
-    "subgroup_to_json",
-    "__version__",
-]
+__all__ = sorted(distortion.__all__ + jennings.__all__ + matgroup.__all__
+                 + nickel.__all__ + presentation.__all__) + ["__version__"]

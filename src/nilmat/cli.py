@@ -8,8 +8,6 @@ failure (a relator check, the verification suite, or an internal
 consistency check), 3 engine guard refusal.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -134,6 +132,8 @@ def _parse_order(text, kind):
 
 
 def cmd_embed(args):
+    if args.kind == "nickel" and args.truncation is not None:
+        raise UsageError("--truncation applies to jennings embeddings only")
     group = _load_group(args.group, consistent=args.kind == "nickel")
     order = _parse_order(args.order, args.kind)
     if args.kind == "jennings":
@@ -184,6 +184,8 @@ def cmd_construct(args):
 
 
 def cmd_orderings(args):
+    if args.kind == "jennings" and args.exhaustive:
+        raise UsageError("--exhaustive applies to nickel orderings only")
     group = _load_group(args.group, consistent=args.kind == "nickel")
     if args.kind == "jennings":
         # the named basis orders that apply to the group, each a
@@ -225,6 +227,10 @@ def cmd_orderings(args):
 
 
 def cmd_empirical(args):
+    if args.radius < 1:
+        raise UsageError(f"--radius {args.radius} is below 1")
+    if args.cap is not None and args.cap < 0:
+        raise UsageError(f"--cap {args.cap} is negative")
     sub = _load_subgroup(args.subgroup)
     table = empirical_distortion(sub, args.radius, h_cap=args.cap)
     lines = [f"radius = {table['radius']}", f"cap = {table['h_cap']}"]

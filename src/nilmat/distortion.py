@@ -29,20 +29,20 @@ rather than start an open-ended computation; so does standardize for a
 subgroup size N past MAX_POSITIONS.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import gcd, lcm
 
 from .matgroup import (
+    GuardError,
     RationalNilpotentMatrix,
     UnitriangularMatrix,
     _add_into,
     _build,
+    _check_positions,
     _entry_from_json,
+    _Frozen,
     _lead,
     _log_numerator,
     binary_power,
@@ -55,7 +55,6 @@ from .matgroup import (
 )
 
 __all__ = [
-    "GuardError",
     "SubgroupGens",
     "StandardizedSequence",
     "standardize",
@@ -79,29 +78,6 @@ __all__ = [
 ]
 
 
-class GuardError(RuntimeError):
-    """A search was asked to exceed its hard instance-size bound."""
-
-
-# standardize can fill one slot per strictly-upper position of UT_N(Z),
-# N(N-1)/2 of them, and its closure's round cap is their square plus 4;
-# the cap keeps N <= 724 and admits the Jennings image of ut:6 (N = 624,
-# 194376 positions)
-MAX_POSITIONS = 1 << 18
-
-
-def _check_positions(n, what="subgroup size N"):
-    """N(N-1)/2 for N = n; GuardError, naming n as what, when it
-    exceeds MAX_POSITIONS."""
-    positions = n * (n - 1) // 2
-    if positions > MAX_POSITIONS:
-        raise GuardError(
-            f"{what} = {n} has N(N-1)/2 = {positions} "
-            f"positions; the cap is {MAX_POSITIONS}"
-        )
-    return positions
-
-
 def _xgcd(a, b):
     """(g, u, v) with u*a + v*b == g == gcd(a, b), g > 0 for a, b not
     both zero."""
@@ -118,24 +94,33 @@ def _xgcd(a, b):
     return old_r, old_u, old_v
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class SubgroupGens:
+class SubgroupGens(_Frozen):
     """A finitely generated subgroup, given by matrix generators.
 
-    Immutable and hashable so computed invariants can be cached on it.
+    Immutable and hashable so computed invariants can be cached on it;
+    equal when of equal size with equal generators in the same order.
     """
 
-    n: int
-    generators: tuple
+    __slots__ = ("n", "generators")
 
-    def __post_init__(self):
-        generators = tuple(self.generators)
+    def __init__(self, n, generators):
+        generators = tuple(generators)
         for g in generators:
             if not isinstance(g, UnitriangularMatrix):
                 raise ValueError("generators must be unitriangular matrices")
-            if g.n != self.n:
+            if g.n != n:
                 raise ValueError("generator size does not match ambient size")
-        object.__setattr__(self, "generators", generators)
+        self._freeze(n=n, generators=generators)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SubgroupGens)
+            and self.n == other.n
+            and self.generators == other.generators
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.generators))
 
     def __repr__(self):
         return f"SubgroupGens(n={self.n}, {len(self.generators)} generators)"
@@ -158,7 +143,7 @@ def subgroup_from_json(obj):
     return SubgroupGens(n, [matrix_from_json(g) for g in gens])
 
 
-class StandardizedSequence:
+class StandardizedSequence(_Frozen):
     """Generators of a subgroup in standard form.
 
     Slots are ordered by the lead of their first nonzero entry in
@@ -174,14 +159,8 @@ class StandardizedSequence:
     __slots__ = ("n", "slots", "lead_pairs", "coeffs", "inverses")
 
     def __init__(self, n, slots, lead_pairs, coeffs, inverses):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "slots", tuple(slots))
-        object.__setattr__(self, "lead_pairs", tuple(lead_pairs))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "inverses", tuple(inverses))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StandardizedSequence is immutable")
+        self._freeze(n=n, slots=tuple(slots), lead_pairs=tuple(lead_pairs),
+                     coeffs=tuple(coeffs), inverses=tuple(inverses))
 
     def __eq__(self, other):
         return (
@@ -673,27 +652,27 @@ def subgroup_depth(h, sub):
     return _series(sub).depth(h)
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
-class Stratum:
+class Stratum(_Frozen):
     """One depth stratum of a standardized sequence: ambient depth m,
     subgroup depth t of the shallowest slot at that depth, and the
     slot witnessing t."""
 
-    m: int
-    t: int
-    witness: UnitriangularMatrix
+    __slots__ = ("m", "t", "witness")
+
+    def __init__(self, m, t, witness):
+        self._freeze(m=m, t=t, witness=witness)
 
     def __repr__(self):
         return f"Stratum(m={self.m}, t={self.t})"
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
-class DistortionReport:
+class DistortionReport(_Frozen):
     """Exact distortion degree with its witness and strata."""
 
-    degree: Fraction
-    witness: UnitriangularMatrix
-    strata: tuple
+    __slots__ = ("degree", "witness", "strata")
+
+    def __init__(self, degree, witness, strata):
+        self._freeze(degree=degree, witness=witness, strata=strata)
 
     def __repr__(self):
         return f"DistortionReport(degree={self.degree})"
@@ -885,8 +864,13 @@ def empirical_distortion(sub, radius, h_cap=None):
     members inside the ambient ball of radius r, using standardized
     slots as the subgroup's generating set.  Members beyond h_cap
     subgroup-steps are reported at the cap and flagged, so the result
-    is still a certified lower bound.
+    is still a certified lower bound.  Raises ValueError for a radius
+    below 1 or a negative h_cap.
     """
+    if radius < 1:
+        raise ValueError(f"radius {radius} is below 1")
+    if h_cap is not None and h_cap < 0:
+        raise ValueError(f"h_cap {h_cap} is negative")
     seq = _nontrivial_sequence(sub)
     if h_cap is None:
         h_cap = radius * radius

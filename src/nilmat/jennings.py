@@ -18,17 +18,17 @@ monomials s' <= s.  So a matrix costs one collector product per tail
 monomial, not one per basis monomial (JenningsBasis._rows).
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 
-from .distortion import MAX_POSITIONS, GuardError, lie_span
+from .distortion import lie_span
 from .matgroup import (
+    MAX_POSITIONS,
+    GuardError,
     RationalSquareMatrix,
     UnitriangularMatrix,
     _add_into,
     _build,
+    _Frozen,
     level_weight,
     matrix_to_json,
 )
@@ -336,20 +336,28 @@ def _survey(base, orders):
     return records
 
 
-@dataclass(frozen=True)
-class EmbeddingResult:
+class EmbeddingResult(_Frozen):
     """A concrete matrix representation of a presented group.
 
     ordering describes the basis: monomial exponent tuples here, a
     permutation of coordinate functions for the dual construction.
+    Compares by identity.
     """
 
-    d: int
-    ordering: tuple
-    generators: tuple
-    unitriangular: bool = True
-    basis: object = field(default=None, compare=False, repr=False)
-    relators_ok: bool = True
+    __slots__ = ("d", "ordering", "generators", "unitriangular", "basis",
+                 "relators_ok")
+
+    def __init__(self, d, ordering, generators, unitriangular, basis,
+                 relators_ok):
+        self._freeze(d=d, ordering=ordering, generators=generators,
+                     unitriangular=unitriangular, basis=basis,
+                     relators_ok=relators_ok)
+
+    def __repr__(self):
+        return (
+            f"EmbeddingResult(d={self.d}, "
+            f"unitriangular={self.unitriangular})"
+        )
 
 
 def jennings_embedding(presentation, order="weight-lex", truncation=None):

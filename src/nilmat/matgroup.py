@@ -1,6 +1,12 @@
 """Exact arithmetic for integer unitriangular matrix groups.
 
-Matrices are immutable so they can serve as dict keys and set members.
+The package's immutable records, the matrices among them, derive from
+one base (_Frozen), which sets each field once and refuses assignment
+afterwards; matrices are immutable so they can serve as dict keys and
+set members.  The engine's size guard lives here too: GuardError, and
+the cap MAX_POSITIONS on the strictly-upper positions of a matrix size,
+which the layers above check through _check_positions.
+
 All three matrix classes share one storage (_SparseMatrix): only the
 nonzero entries, one dict per row from 0-based column to value, with
 the dense rows built on demand.  UnitriangularMatrix (group elements)
@@ -15,13 +21,12 @@ group elements, fractions for matrix logarithms.  Positions are
 an elementary matrix with a single off-diagonal entry.
 """
 
-from __future__ import annotations
-
 import operator
 import re
 from fractions import Fraction
 
 __all__ = [
+    "GuardError",
     "UnitriangularMatrix",
     "RationalNilpotentMatrix",
     "RationalSquareMatrix",
@@ -40,7 +45,48 @@ __all__ = [
 ]
 
 
-class _SparseMatrix:
+class GuardError(RuntimeError):
+    """A search was asked to exceed its hard instance-size bound."""
+
+
+# standardize can fill one slot per strictly-upper position of UT_N(Z),
+# N(N-1)/2 of them, and its closure's round cap is their square plus 4;
+# the cap keeps N <= 724 and admits the Jennings image of ut:6 (N = 624,
+# 194376 positions)
+MAX_POSITIONS = 1 << 18
+
+
+def _check_positions(n, what="subgroup size N"):
+    """N(N-1)/2 for N = n; GuardError, naming n as what, when it
+    exceeds MAX_POSITIONS."""
+    positions = n * (n - 1) // 2
+    if positions > MAX_POSITIONS:
+        raise GuardError(
+            f"{what} = {n} has N(N-1)/2 = {positions} "
+            f"positions; the cap is {MAX_POSITIONS}"
+        )
+    return positions
+
+
+class _Frozen:
+    """Base of the immutable records: a subclass names its fields in
+    __slots__ and sets each once, in its constructor, with _freeze;
+    assigning or deleting a field afterwards raises AttributeError
+    naming the class."""
+
+    __slots__ = ()
+
+    def _freeze(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class _SparseMatrix(_Frozen):
     """Storage shared by the matrix classes: ``entries`` holds, per
     row, a dict from 0-based column to each nonzero entry the class
     keeps, never mutated, and the dense ``rows`` put _diagonal on the
@@ -51,12 +97,10 @@ class _SparseMatrix:
     _diagonal = 0
 
     def _set(self, n, entries):
+        # runs on every product, so it skips _freeze's keyword dict
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", tuple(entries))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def rows(self):
@@ -257,7 +301,7 @@ def level_weight(m):
     return lead[0]
 
 
-class PositionBasis:
+class PositionBasis(_Frozen):
     """Ordering of the strictly-upper positions of an n x n matrix.
 
     Two flavors:
@@ -284,15 +328,8 @@ class PositionBasis:
             all_pos.sort(key=lambda p: (p[1] - p[0], p[0]))
         else:
             all_pos.sort(key=lambda p: (p[1], -p[0]))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "positions", tuple(all_pos))
-        object.__setattr__(
-            self, "weights", tuple(j - i for i, j in all_pos)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PositionBasis is immutable")
+        self._freeze(n=n, flavor=flavor, positions=tuple(all_pos),
+                     weights=tuple(j - i for i, j in all_pos))
 
     def __len__(self):
         return len(self.positions)

@@ -30,16 +30,13 @@ without an error, so check presentations from outside with
 validate(deep=True).
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .distortion import GuardError
 from .jennings import _embedding_result, _ordered, _support, _survey
-from .matgroup import _add_into
+from .matgroup import GuardError, _add_into, _Frozen
 from .presentation import _binomials, _differences, _grid
 
 __all__ = [
@@ -58,7 +55,7 @@ def _mono_key(mono):
     return (sum(mono), mono)
 
 
-class CoordinatePolynomial:
+class CoordinatePolynomial(_Frozen):
     """Polynomial in the coordinates of a group element.
 
     Terms map exponent tuples to rational coefficients, each divided by
@@ -73,11 +70,7 @@ class CoordinatePolynomial:
             c = Fraction(c, den)
             if c:
                 clean[tuple(mono)] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordinatePolynomial is immutable")
+        self._freeze(nvars=nvars, terms=clean)
 
     @classmethod
     def coordinate(cls, nvars, k):
@@ -199,7 +192,7 @@ def _monomials(n, coeffs, den=1):
     return CoordinatePolynomial(n, coeffs, den * factorial(top) ** n)
 
 
-class FunctionModule:
+class FunctionModule(_Frozen):
     """Action-closed module of coordinate functions of a presentation.
 
     basis holds the functions, labels their display names (coordinate
@@ -212,13 +205,8 @@ class FunctionModule:
     __slots__ = ("presentation", "basis", "labels", "matrices")
 
     def __init__(self, presentation, basis, labels, matrices):
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "matrices", dict(matrices))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FunctionModule is immutable")
+        self._freeze(presentation=presentation, basis=tuple(basis),
+                     labels=tuple(labels), matrices=dict(matrices))
 
     @property
     def dimension(self):

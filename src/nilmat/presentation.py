@@ -19,14 +19,13 @@ with its differencing walk), binomials C(a, e) of any integer a
 (_differences).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb
 
-from .distortion import GuardError, _check_positions
 from .matgroup import (
+    GuardError,
     PositionBasis,
+    _check_positions,
     _entry_from_json,
     _list_from_json,
     binary_power,

@@ -8,8 +8,6 @@ check carries a wall-clock budget; a check passes only if it returns
 cleanly within budget.
 """
 
-from __future__ import annotations
-
 import math
 import random
 import time

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import nilmat
+from nilmat import distortion, jennings, matgroup, nickel, presentation
 from nilmat.verify import run_all
 
 
@@ -99,3 +100,64 @@ def test_every_exported_name_resolves():
             if not hasattr(module, name)
         ]
         assert not missing, (module.__name__, missing)
+    library = [distortion, jennings, matgroup, nickel, presentation]
+    names = [name for module in library for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert nilmat.__all__ == sorted(names) + ["__version__"]
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # each costs milliseconds of every CLI call's start-up
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nilmat; print("
+         "sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def _sub():
+    return distortion.distorted_subgroup(3, 2)
+
+
+RECORDS = {
+    "SubgroupGens": _sub,
+    "StandardizedSequence": lambda: distortion.standardize(_sub()),
+    "Stratum": lambda: distortion.distortion_degree(_sub()).strata[0],
+    "DistortionReport": lambda: distortion.distortion_degree(_sub()),
+    "EmbeddingResult": lambda: jennings.jennings_embedding(
+        presentation.builtin("ut:3")
+    ),
+    "PositionBasis": lambda: matgroup.PositionBasis(3),
+    "CoordinatePolynomial": lambda: nickel.CoordinatePolynomial.coordinate(
+        3, 1
+    ),
+    "FunctionModule": lambda: nickel.function_module(
+        presentation.builtin("ut:3")
+    ),
+    "UnitriangularMatrix": lambda: matgroup.elementary(3, 1, 2),
+    "RationalNilpotentMatrix": lambda: matgroup.log_unipotent(
+        matgroup.elementary(3, 1, 2)
+    ),
+    "RationalSquareMatrix": lambda: matgroup.RationalSquareMatrix.identity(3),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_are_immutable(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    # the first field, which a matrix class inherits from its storage
+    field = next(
+        f for c in type(record).__mro__ for f in c.__dict__.get("__slots__", ())
+    )
+    before = getattr(record, field)
+    for change in (
+        lambda: setattr(record, field, None),
+        lambda: delattr(record, field),
+        lambda: setattr(record, "extra", 1),
+    ):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            change()
+    assert getattr(record, field) is before

@@ -433,6 +433,23 @@ def test_empirical_table(capsys, monkeypatch):
     assert "(cap hit)" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("embed", "nickel", "ut:3:scheme", "--truncation", "9"),
+    ("orderings", "jennings", "ut:3", "--exhaustive"),
+    ("empirical", "--radius", "-2"),
+    ("empirical", "--radius", "3", "--cap", "-2"),
+])
+def test_flag_outside_its_domain_exits_1(capsys, monkeypatch, argv):
+    # each was once ignored or printed an empty table, with exit 0
+    sub = SubgroupGens(3, [elementary(3, 1, 3)])
+    blob = json.dumps(subgroup_to_json(sub))
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert err.startswith(f"nilmat: error: {flag} ")
+
+
 def test_guard_exit_3(capsys, monkeypatch):
     sub = SubgroupGens(3, [elementary(3, 1, 3)])
     blob = json.dumps(subgroup_to_json(sub))

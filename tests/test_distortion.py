@@ -9,7 +9,7 @@ from math import lcm
 
 import pytest
 
-from nilmat import distortion
+from nilmat import distortion, matgroup
 from nilmat.distortion import (
     GuardError,
     SubgroupGens,
@@ -304,6 +304,18 @@ def test_parameter_validation_and_guards():
         empirical_distortion(trivial, 2)
 
 
+def test_equal_subgroups_share_one_standardize():
+    a = SubgroupGens(5, [elementary(5, 1, 3, 7), elementary(5, 2, 5, -3)])
+    b = SubgroupGens(5, [elementary(5, 1, 3, 7), elementary(5, 2, 5, -3)])
+    assert a.generators[0] is not b.generators[0]
+    assert a == b and hash(a) == hash(b)
+    assert a != SubgroupGens(5, b.generators[::-1])
+    seq = standardize(a)
+    hits = standardize.cache_info().hits
+    assert standardize(b) is seq
+    assert standardize.cache_info().hits == hits + 1
+
+
 def test_ball_counts():
     b1 = ball(3, 1)
     assert len(b1) == 5 and set(b1.values()) == {0, 1}
@@ -318,6 +330,10 @@ def test_empirical_center_growth():
     assert out["radius"] == 8 and out["h_cap"] == 64
     assert out["delta"] == {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 2, 7: 2, 8: 4}
     assert not any(out["capped"].values())
+
+    for radius, h_cap in ((0, None), (-2, None), (8, -1)):
+        with pytest.raises(ValueError, match="below 1|negative"):
+            empirical_distortion(z, radius, h_cap)
 
     capped = empirical_distortion(z, 8, h_cap=1)
     assert capped["delta"] == {
@@ -774,7 +790,7 @@ def test_trivial_subgroup_is_refused_before_any_basis(monkeypatch):
 
 
 def test_subgroup_size_cap(monkeypatch):
-    cap = distortion.MAX_POSITIONS
+    cap = matgroup.MAX_POSITIONS
     n = 2
     while n * (n - 1) // 2 <= cap:
         n += 1

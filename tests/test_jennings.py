@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from nilmat import distortion, jennings
+from nilmat import jennings, matgroup
 from nilmat.cli import main
 from nilmat.distortion import GuardError, lie_span
 from nilmat.jennings import (
@@ -200,9 +200,9 @@ def test_basis_size_cap(monkeypatch):
     # the cap is the largest matrix size standardize admits
     cap = jennings.MAX_MONOMIALS
     assert cap == 724
-    distortion._check_positions(cap)
+    matgroup._check_positions(cap)
     with pytest.raises(GuardError):
-        distortion._check_positions(cap + 1)
+        matgroup._check_positions(cap + 1)
     listed = [0]
     lower_set = jennings._lower_set
 

@@ -501,9 +501,3 @@ def test_report_first_has_no_dimension_cap():
         "weights": (1, 1, 2, 1, 2, 3, 1, 2, 3, 4),
         "degree": Fraction(1),
     }]
-
-
-def test_module_is_immutable():
-    module = function_module(builtin("ut:3"))
-    with pytest.raises(AttributeError):
-        module.labels = ()

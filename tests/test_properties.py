@@ -5,7 +5,8 @@ JSON against itself, membership certificates against the product
 they certify, subgroup depth against the series of the slots, the Lie
 side's strata and degree against strata read off the standardized
 slots with the group-side depth oracle, the CLI's exit code 1 on
-malformed subgroup JSON, the Newton calculus both embeddings share
+malformed subgroup JSON and 1 or 3 on subgroup and presentation JSON
+with one field swapped for a value of the wrong kind, the Newton calculus both embeddings share
 (binomials, lower-set differences, Newton-to-monomial expansion)
 against falling factorials and signed binomial sums, Nickel's integer
 act against the translate evaluated in Fractions, Jennings images in
@@ -19,6 +20,8 @@ import io
 import json
 import operator
 import os
+import re
+import sys
 import tempfile
 from fractions import Fraction
 from itertools import product
@@ -40,6 +43,7 @@ from nilmat.distortion import (  # noqa: E402
     member_certificate,
     standardize,
     subgroup_depth,
+    subgroup_to_json,
 )
 from nilmat.jennings import jennings_embedding  # noqa: E402
 from nilmat.matgroup import (  # noqa: E402
@@ -381,16 +385,95 @@ def malformed_subgroups(draw):
 @fast
 @given(malformed_subgroups())
 def test_malformed_subgroup_json_exits_1(payload):
+    rc, out, err = _run_cli(("distortion", "file:@"), payload)
+    assert rc == 1 and out == ""
+    assert err.startswith("nilmat: error:")
+    assert "Traceback" not in err
+
+
+# the command each payload feeds, with the placeholder @ for a file;
+# heisenberg:1 keeps its realization (positions, ambient_n) but not its
+# label, which any value may take
+SWAP_PAYLOADS = {
+    ("distortion", "-"): subgroup_to_json(
+        SubgroupGens(3, [elementary(3, 1, 2), elementary(3, 2, 3)])
+    ),
+    ("embed", "jennings", "file:@"): {
+        k: v for k, v in presentation_to_json(builtin("heisenberg:1")).items()
+        if k != "label"
+    },
+}
+
+# values that no field accepts, except that an integer of any sign or
+# size is a valid matrix entry above the diagonal and a valid relation
+# word entry past x_j
+SWAPS = {
+    "float": st.floats(),
+    "bool": st.booleans(),
+    "string": st.text(min_size=1, max_size=3).filter(
+        lambda t: not re.fullmatch(r"[+-]?[0-9]+", t)
+    ),
+    "nested list": st.lists(
+        st.lists(st.integers(-2, 2), max_size=2), min_size=1, max_size=2
+    ),
+    "negative int": st.integers(-(2**70), -1),
+    "oversized int": st.integers(2**20, 2**70),
+}
+
+
+def _paths(obj, path=()):
+    """Every path into the JSON value obj, its root excluded."""
+    for key, value in (
+        obj.items() if isinstance(obj, dict) else enumerate(obj)
+    ):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _takes_any_int(payload, path):
+    if path[-3:-2] == ("rows",):
+        return path[-1] > path[-2]
+    if path[-2:-1] == ("word",):
+        return path[-1] >= payload["relations"][path[1]]["j"]
+    return False
+
+
+def _run_cli(argv, text):
+    """(rc, stdout, stderr) of main on argv, with text on stdin and as
+    the file @ stands for."""
     out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "sub.json")
+        path = os.path.join(tmp, "payload.json")
         with open(path, "w") as fh:
-            fh.write(payload)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["distortion", f"file:{path}"])
-    assert rc == 1 and out.getvalue() == ""
-    assert err.getvalue().startswith("nilmat: error:")
-    assert "Traceback" not in err.getvalue()
+            fh.write(text)
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = main([a.replace("@", path) for a in argv])
+        finally:
+            sys.stdin = stdin
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", sorted(SWAP_PAYLOADS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_swapped_field_exits_1_or_3(argv, data):
+    # one drawn field, swapped in turn for a value of each kind
+    payload = SWAP_PAYLOADS[argv]
+    path = data.draw(st.sampled_from(list(_paths(payload))), label="path")
+    for kind, values in SWAPS.items():
+        if kind.endswith(" int") and _takes_any_int(payload, path):
+            continue
+        swapped = json.loads(json.dumps(payload))
+        parent = functools.reduce(operator.getitem, path[:-1], swapped)
+        parent[path[-1]] = data.draw(values, label=kind)
+        rc, out, err = _run_cli(argv, json.dumps(swapped))
+        assert rc in (1, 3) and out == "", (kind, rc, out)
+        assert err.startswith("nilmat: ") and "Traceback" not in err
 
 
 def falling_binomial(a, e):
