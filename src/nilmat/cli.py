@@ -3,9 +3,10 @@
 Commands compose through JSON on stdin/stdout, so e.g. the generators
 emitted by ``construct`` pipe straight into ``distortion``.  Every
 command validates its input before computing and writes nothing on
-failure.  Exit codes: 0 success, 1 malformed input, 2 verification
-failure (a relator check, the verification suite, or an internal
-consistency check), 3 engine guard refusal.
+failure.  Exit codes: 0 success, 1 malformed input (an OverflowError,
+a number too large to convert, included), 2 verification failure (a
+relator check, the verification suite, or an internal consistency
+check), 3 engine guard refusal.
 """
 
 import argparse
@@ -30,6 +31,7 @@ from .jennings import (
     embedding_to_json,
     jennings_embedding,
 )
+from .matgroup import _entry_from_json
 from .nickel import function_module, nickel_embedding, ordering_search
 from .presentation import builtin, presentation_from_json
 from .verify import run_all
@@ -120,7 +122,7 @@ def _parse_order(text, kind):
         if text in ("weight-lex", "scheme-perturbed"):
             return text
         try:
-            return tuple(int(part) for part in text.split(","))
+            return tuple(map(_entry_from_json, text.split(",")))
         except ValueError:
             raise UsageError(
                 "jennings order must be weight-lex, scheme-perturbed, "
@@ -374,7 +376,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"nilmat: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, OSError,
+            RecursionError) as exc:
         print(f"nilmat: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -99,11 +99,14 @@ class SubgroupGens(_Frozen):
 
     Immutable and hashable so computed invariants can be cached on it;
     equal when of equal size with equal generators in the same order.
+    The size n must be an integer (or a decimal string); a float or a
+    boolean raises ValueError.
     """
 
     __slots__ = ("n", "generators")
 
     def __init__(self, n, generators):
+        n = _entry_from_json(n, "subgroup size N")
         generators = tuple(generators)
         for g in generators:
             if not isinstance(g, UnitriangularMatrix):
@@ -139,7 +142,6 @@ def subgroup_from_json(obj):
         gens = obj["generators"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed subgroup object: {exc}") from exc
-    n = _entry_from_json(n, "subgroup size N")
     return SubgroupGens(n, [matrix_from_json(g) for g in gens])
 
 

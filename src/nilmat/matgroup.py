@@ -24,6 +24,7 @@ an elementary matrix with a single off-diagonal entry.
 import operator
 import re
 from fractions import Fraction
+from itertools import chain, repeat
 
 __all__ = [
     "GuardError",
@@ -72,18 +73,32 @@ class _Frozen:
     """Base of the immutable records: a subclass names its fields in
     __slots__ and sets each once, in its constructor, with _freeze;
     assigning or deleting a field afterwards raises AttributeError
-    naming the class."""
+    naming the class.  copy and pickle rebuild a record from its
+    fields (__reduce__)."""
 
     __slots__ = ()
 
     def _freeze(self, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _restore, (type(self), {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in cls.__dict__.get("__slots__", ())
+        })
+
+
+def _restore(cls, fields):
+    """The record of class cls with the given fields."""
+    return object.__new__(cls)._freeze(**fields)
 
 
 class _SparseMatrix(_Frozen):
@@ -168,24 +183,20 @@ class UnitriangularMatrix(_SparseMatrix):
     _diagonal = 1
 
     def __init__(self, rows):
-        rows = tuple(rows)
-        n = len(rows)
-        entries = []
-        for i, row in enumerate(rows):
-            row = tuple(row)
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            if row[i] != 1:
+        # every entry, a zero included, must be an int (a bool is not):
+        # _sparse drops zeros, so the type check runs on the rows
+        rows = tuple(map(tuple, rows))
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+            raise ValueError("matrix entries must be integers")
+        n, entries = _sparse(rows)
+        for i, r in enumerate(entries):
+            if r.get(i) != 1:
                 raise ValueError("diagonal entry is not 1")
-            if row[:i].count(0) != i:
+            if min(r) < i:
                 raise ValueError("nonzero entry below the diagonal")
-            nz = {}
-            for j, e in enumerate(row[i + 1:], i + 1):
-                if not isinstance(e, int):
-                    raise ValueError("matrix entries must be integers")
-                if e:
-                    nz[j] = e
-            entries.append(nz)
+            # a new dict: popping the diagonal would leave r's table
+            # sized for it, held as long as the matrix is
+            entries[i] = {j: e for j, e in r.items() if j > i}
         self._set(n, entries)
 
     def entry(self, i, j):
@@ -265,7 +276,7 @@ def elementary(n, i, j, alpha=1):
     """Identity plus alpha at 1-based position (i, j), i < j."""
     if not (1 <= i < j <= n):
         raise ValueError(f"position ({i}, {j}) is not above the diagonal")
-    if not isinstance(alpha, int):
+    if type(alpha) is not int:
         raise ValueError("matrix entries must be integers")
     entries = [{}] * n
     if alpha:
@@ -575,36 +586,42 @@ def matrix_from_json(obj):
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     n = _entry_from_json(n, "matrix size n")
-    if len(_list_from_json(rows, "matrix rows")) != n:
+    if len(_sequence(rows, "matrix rows")) != n:
         raise ValueError("matrix row count does not match n")
-    parsed = []
-    for row in rows:
-        if len(_list_from_json(row, "matrix row")) != n:
-            raise ValueError("matrix row length does not match n")
-        parsed.append(tuple(_entry_from_json(e) for e in row))
-    return UnitriangularMatrix(tuple(parsed))
+    return UnitriangularMatrix(_ints(row, "matrix row") for row in rows)
 
 
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
+_is_decimal = re.compile(r"[+-]?[0-9]+").fullmatch
 
 
 def _entry_from_json(e, what="entry"):
     """A JSON integer or a decimal string; floats, booleans, NaN and
     infinities raise ValueError, naming the value as what, instead of
     being truncated."""
-    if isinstance(e, str) and _DECIMAL.fullmatch(e):
+    if isinstance(e, str) and _is_decimal(e):
         return int(e)
     if not isinstance(e, int) or isinstance(e, bool):
         raise ValueError(f"{what} {e!r} is not an integer")
     return e
 
 
-def _list_from_json(value, what):
-    """value when it is a JSON list; anything else, a string above all,
-    which would be read character by character, raises ValueError
-    naming it as what."""
-    if not isinstance(value, list):
+def _sequence(value, what):
+    """value when it is a list (a JSON list) or a tuple; anything else,
+    a string above all, which would be read character by character,
+    raises ValueError naming it as what."""
+    if not isinstance(value, (list, tuple)):
         raise ValueError(
             f"{what} must be a JSON list, not {type(value).__name__}"
         )
     return value
+
+
+def _ints(value, what):
+    """The entries of value, a list or a tuple (see _sequence), read as
+    _entry_from_json reads them, each named as an entry of what, into a
+    tuple; all ints or all decimal strings are read in one pass."""
+    if {int}.issuperset(map(type, _sequence(value, what))):
+        return tuple(value)
+    if {str}.issuperset(map(type, value)) and all(map(_is_decimal, value)):
+        return tuple(map(int, value))
+    return tuple(map(_entry_from_json, value, repeat(f"{what} entry")))

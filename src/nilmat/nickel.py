@@ -58,8 +58,9 @@ def _mono_key(mono):
 class CoordinatePolynomial(_Frozen):
     """Polynomial in the coordinates of a group element.
 
-    Terms map exponent tuples to rational coefficients, each divided by
-    den; zero coefficients are never stored.
+    Terms map exponent tuples of length nvars to rational coefficients,
+    each divided by den; zero coefficients are never stored.  A
+    monomial of another length raises ValueError, zero or not.
     """
 
     __slots__ = ("nvars", "terms")
@@ -67,9 +68,12 @@ class CoordinatePolynomial(_Frozen):
     def __init__(self, nvars, terms, den=1):
         clean = {}
         for mono, c in terms.items():
+            mono = tuple(mono)
+            if len(mono) != nvars:
+                raise ValueError(f"monomial {mono} is not of length {nvars}")
             c = Fraction(c, den)
             if c:
-                clean[tuple(mono)] = c
+                clean[mono] = c
         self._freeze(nvars=nvars, terms=clean)
 
     @classmethod

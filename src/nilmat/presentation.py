@@ -20,6 +20,7 @@ with its differencing walk), binomials C(a, e) of any integer a
 """
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 
 from .matgroup import (
@@ -27,7 +28,8 @@ from .matgroup import (
     PositionBasis,
     _check_positions,
     _entry_from_json,
-    _list_from_json,
+    _ints,
+    _sequence,
     binary_power,
     elementary,
 )
@@ -51,33 +53,41 @@ class NilpotentPresentation:
     depth >= weights[i] + weights[j].
 
     positions/ambient_n optionally record a faithful realization by
-    elementary integer matrices, used for cross-checking.
+    elementary integer matrices, used for cross-checking: M pairs
+    (i, j) with 1 <= i < j <= ambient_n, given together with ambient_n.
 
     relations may also be an iterable of ((j, i), word) pairs.  M,
-    weights, relation keys and word entries must be integers (or
-    decimal strings); a float or a boolean raises ValueError instead of
-    being truncated, and a key (j, i) given twice, once its entries are
-    read as integers, raises ValueError even when a word is zero.
+    weights, relation keys, word entries, positions and ambient_n must
+    be integers (or decimal strings); a float or a boolean raises
+    ValueError instead of being truncated, and a key (j, i) given
+    twice, once its entries are read as integers, raises ValueError
+    even when a word is zero.  weights, each key and word, positions
+    and each pair must be lists or tuples: a string in their place
+    raises ValueError instead of being read character by character, and
+    so does any other iterable, such as a range or a generator.
+    An ambient_n whose N(N-1)/2 exceeds MAX_POSITIONS (so N <= 724)
+    raises GuardError before any matrix is built: the realization's
+    matrices (validate(deep=True)) have that size.
     """
 
     def __init__(self, M, weights, relations, label=None, positions=None,
                  ambient_n=None):
-        M = _entry_from_json(M)
+        M = _entry_from_json(M, "M")
         if M < 1:
             raise ValueError("need at least one generator")
-        weights = tuple(map(_entry_from_json, weights))
+        weights = _ints(weights, "weights")
         if len(weights) != M or any(w < 1 for w in weights):
             raise ValueError("weights must be M positive integers")
         rel, seen = {}, set()
         items = relations.items() if hasattr(relations, "items") else relations
         for key, word in items:
-            j, i = map(_entry_from_json, key)
+            j, i = _ints(key, "relation key")
             if not (1 <= i < j <= M):
                 raise ValueError(f"bad relation key ({j}, {i})")
             if (j, i) in seen:
                 raise ValueError(f"duplicate relation key ({j}, {i})")
             seen.add((j, i))
-            word = tuple(map(_entry_from_json, word))
+            word = _ints(word, "relation word")
             if len(word) != M:
                 raise ValueError(f"relation ({j}, {i}) word has wrong length")
             if not any(word):
@@ -92,11 +102,23 @@ class NilpotentPresentation:
                         f"relation ({j}, {i}) word is too shallow at x_{k}"
                     )
             rel[(j, i)] = word
+        if positions is not None or ambient_n is not None:
+            ambient_n = _entry_from_json(ambient_n, "ambient_n")
+            if len(_sequence(positions, "positions")) != M:
+                raise ValueError(f"positions must be a list of M = {M} pairs")
+            positions = tuple(map(_ints, positions, repeat("position")))
+            for pair in positions:
+                if len(pair) != 2 or not 1 <= pair[0] < pair[1] <= ambient_n:
+                    raise ValueError(
+                        f"position {pair} is not a pair (i, j) with "
+                        f"1 <= i < j <= {ambient_n}"
+                    )
+            _check_positions(ambient_n, "ambient_n")
         self.M = M
         self.weights = weights
         self.relations = rel
         self.label = label
-        self.positions = tuple(positions) if positions else None
+        self.positions = positions
         self.ambient_n = ambient_n
         self._zero = (0,) * M
         # 0-based lookup for the collector
@@ -186,13 +208,13 @@ class NilpotentPresentation:
     # -- checks ---------------------------------------------------------
 
     def validate(self, deep=False):
-        """Re-run structural checks; with deep=True also test
-        associativity over all generator/inverse triples and, when a
-        matrix realization is attached, check every relation on its
-        matrices with relation_failures."""
-        NilpotentPresentation(
-            self.M, self.weights, self.relations
-        )
+        """Re-run the constructor's checks, the realization's included;
+        with deep=True also test associativity over all
+        generator/inverse triples and, when a matrix realization is
+        attached, check every relation on its matrices with
+        relation_failures."""
+        NilpotentPresentation(self.M, self.weights, self.relations, None,
+                              self.positions, self.ambient_n)
         if not deep:
             return
         atoms = []
@@ -367,7 +389,7 @@ def builtin(name):
     if kind == "ut":
         if len(parts) not in (2, 3):
             raise ValueError(f"bad builtin name {name!r}")
-        m = _positive_int(parts[1], name)
+        m = _entry_from_json(parts[1], f"builtin {name!r}: size")
         if m < 2:
             raise ValueError("ut:m needs m >= 2")
         _check_relation_entries(name, comb(m, 3), m * (m - 1) // 2)
@@ -389,7 +411,9 @@ def builtin(name):
     if kind == "heisenberg":
         if len(parts) != 2:
             raise ValueError(f"bad builtin name {name!r}")
-        n = _positive_int(parts[1], name)
+        n = _entry_from_json(parts[1], f"builtin {name!r}: size")
+        if n < 1:
+            raise ValueError("heisenberg:n needs n >= 1")
         M = 2 * n + 1
         _check_relation_entries(name, n, M)
         pos = [(1, i + 1) for i in range(1, n + 1)]
@@ -415,16 +439,6 @@ def builtin(name):
     raise ValueError(f"unknown builtin {name!r}")
 
 
-def _positive_int(text, name):
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise ValueError(f"bad builtin name {name!r}") from exc
-    if value < 1:
-        raise ValueError(f"bad builtin name {name!r}")
-    return value
-
-
 def presentation_to_json(p):
     """Wire form with deterministic key order; a realization adds
     positions ([[i, j], ...]) and ambient_n."""
@@ -445,14 +459,11 @@ def presentation_to_json(p):
 
 def presentation_from_json(obj):
     """Inverse of presentation_to_json.  ValueError on malformed input,
-    including positions that are not M pairs 1 <= i < j <= ambient_n
-    and a relation key (j, i) given twice (NilpotentPresentation refuses
-    it).  GuardError for an ambient_n whose N(N-1)/2 exceeds
-    MAX_POSITIONS (so N <= 724), before any matrix is built: the
-    realization's matrices (validate(deep=True)) have that size."""
+    and GuardError for an ambient_n past the cap, as
+    NilpotentPresentation raises them; this only unpacks the fields."""
     try:
-        M = _entry_from_json(obj["M"], "M")
-        weights = _list_from_json(obj["weights"], "weights")
+        M = obj["M"]
+        weights = obj["weights"]
         raw = obj["relations"]
         label = obj.get("label")
         positions = obj.get("positions")
@@ -462,29 +473,9 @@ def presentation_from_json(obj):
     rels = []
     for item in raw:
         try:
-            word = _list_from_json(item["word"], "relation word")
-            key = tuple(
-                _entry_from_json(item[k], "relation key") for k in "ji"
-            )
+            rels.append(((item["j"], item["i"]), item["word"]))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed relation entry: {exc}") from exc
-        rels.append((key, word))
-    if positions is not None or ambient_n is not None:
-        ambient_n = _entry_from_json(ambient_n, "ambient_n")
-        if not isinstance(positions, list) or len(positions) != M:
-            raise ValueError(f"positions must be a list of M = {M} pairs")
-        pairs = []
-        for pair in positions:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(f"position {pair!r} is not a pair [i, j]")
-            i, j = (_entry_from_json(e, "position index") for e in pair)
-            if not 1 <= i < j <= ambient_n:
-                raise ValueError(
-                    f"position ({i}, {j}) is not 1 <= i < j <= {ambient_n}"
-                )
-            pairs.append((i, j))
-        positions = pairs
-        _check_positions(ambient_n, "ambient_n")
     return NilpotentPresentation(
         M, weights, rels, label=label, positions=positions,
         ambient_n=ambient_n,

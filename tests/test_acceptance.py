@@ -5,7 +5,9 @@ order, each reporting its own pass/fail line, plus the command-line
 entry point run as a real subprocess and the package's exports.
 """
 
+import copy
 import importlib
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -144,14 +146,19 @@ RECORDS = {
 }
 
 
+def _fields(x):
+    """The slot names of x along its class's MRO, subclass first."""
+    return [
+        f for c in type(x).__mro__ for f in c.__dict__.get("__slots__", ())
+    ]
+
+
 @pytest.mark.parametrize("name", list(RECORDS))
 def test_records_are_immutable(name):
     record = RECORDS[name]()
     assert type(record).__name__ == name
     # the first field, which a matrix class inherits from its storage
-    field = next(
-        f for c in type(record).__mro__ for f in c.__dict__.get("__slots__", ())
-    )
+    field = _fields(record)[0]
     before = getattr(record, field)
     for change in (
         lambda: setattr(record, field, None),
@@ -161,3 +168,36 @@ def test_records_are_immutable(name):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             change()
     assert getattr(record, field) is before
+
+
+def _unfold(x):
+    """x with every record and object opened into its type and fields,
+    so that copies compare equal also where x compares by identity."""
+    if isinstance(x, (tuple, list)):
+        return [_unfold(e) for e in x]
+    if isinstance(x, dict):
+        return {k: _unfold(v) for k, v in x.items()}
+    if _fields(x):
+        return type(x), [_unfold(getattr(x, f)) for f in _fields(x)]
+    if hasattr(x, "__dict__"):
+        return type(x), _unfold(vars(x))
+    return x
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_survive_copy_and_pickle(name):
+    record = RECORDS[name]()
+    field = _fields(record)[0]
+    for restored in (
+        pickle.loads(pickle.dumps(record)),
+        copy.copy(record),
+        copy.deepcopy(record),
+    ):
+        assert type(restored) is type(record)
+        assert _unfold(restored) == _unfold(record)
+        if type(record).__eq__ is not object.__eq__:
+            assert restored == record
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(restored, field, None)
+        if name.endswith("Matrix"):
+            assert restored * restored == record * record

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from nilmat import distortion, presentation
+from nilmat import cli, distortion, presentation
 from nilmat.cli import main
 from nilmat.distortion import SubgroupGens, distorted_subgroup, subgroup_to_json
 from nilmat.jennings import jennings_embedding
@@ -450,6 +450,25 @@ def test_flag_outside_its_domain_exits_1(capsys, monkeypatch, argv):
     assert err.startswith(f"nilmat: error: {flag} ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("embed", "jennings", "ut:0_3"),
+    ("embed", "jennings", "ut: 3"),
+    ("embed", "jennings", "ut:\uff13"),
+    ("embed", "jennings", "heisenberg:1_0"),
+    ("embed", "jennings", "ut:3", "--order", "1,2,3,4,5,6,0_0"),
+    ("embed", "jennings", "ut:3", "--order", "1,2,3,4,5,6, 0"),
+    ("embed", "jennings", "ut:3", "--order", "1,2,3,4,5,6,\uff10"),
+])
+def test_loose_integers_in_names_and_orders_exit_1(capsys, argv):
+    # int() reads "0_3" and " 3" as 3 and a fullwidth digit as its
+    # value, so each of these once ran with exit 0
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("nilmat: error:")
+    if "--order" not in argv:
+        assert "is not an integer" in err
+
+
 def test_guard_exit_3(capsys, monkeypatch):
     sub = SubgroupGens(3, [elementary(3, 1, 3)])
     blob = json.dumps(subgroup_to_json(sub))
@@ -558,6 +577,16 @@ def test_runtime_error_exits_2_without_traceback(capsys, monkeypatch):
     rc, out, err = run(capsys, "distortion", "-")
     assert rc == 2 and out == ""
     assert err == "nilmat: error: conjugation closure did not stabilize\n"
+
+
+def test_overflow_error_exits_1_without_traceback(capsys, monkeypatch):
+    def overflow(args):
+        raise OverflowError("integer too large to convert to float")
+
+    monkeypatch.setattr(cli, "cmd_construct", overflow)
+    rc, out, err = run(capsys, "construct", "--p", "2", "--q", "3")
+    assert rc == 1 and out == ""
+    assert err == "nilmat: error: integer too large to convert to float\n"
 
 
 def test_strata_without_a_witness_exit_2(capsys, monkeypatch):

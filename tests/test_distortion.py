@@ -150,6 +150,14 @@ def test_lower_central_gens():
     assert lower_central_gens(seq, 3).generators == ()
 
 
+def test_subgroup_size_is_read_as_an_integer():
+    # the constructor reads N, so the library refuses what the wire does
+    for n in (3.0, True, "3.0"):
+        with pytest.raises(ValueError, match="^subgroup size N "):
+            SubgroupGens(n, [])
+    assert SubgroupGens("3", [elementary(3, 1, 2)]).n == 3
+
+
 def test_subgroup_depth_basics():
     seq = standardize(full_ut3())
     assert subgroup_depth(elementary(3, 1, 3), seq) == 2

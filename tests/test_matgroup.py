@@ -39,10 +39,21 @@ def test_constructor_rejects_bad_shapes():
         UnitriangularMatrix(((2, 0), (0, 1)))
     with pytest.raises(ValueError):
         UnitriangularMatrix(((1, 0), (1, 1)))
-    with pytest.raises(ValueError):
-        UnitriangularMatrix(((1, 0.5), (0, 1)))
-    with pytest.raises(ValueError):
-        elementary(2, 1, 2, 0.5)
+    # an entry that only compares equal to an int is refused, also
+    # where it is 0 or 1 by value: a bool, a float, a Fraction
+    for rows in (
+        ((1, 0.5), (0, 1)),
+        ((1, True), (0, 1)),
+        ((True, 0), (0, 1)),
+        ((1, 0.0), (0, 1)),
+        ((1, 0), (0.0, 1)),
+        ((1, 0), (0, Fraction(1))),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            UnitriangularMatrix(rows)
+    for alpha in (0.5, True):
+        with pytest.raises(ValueError, match="must be integers"):
+            elementary(2, 1, 2, alpha)
 
 
 def test_elementary_product_fills_entry():

@@ -129,6 +129,14 @@ def test_act_rejects_size_mismatch():
         act(coord(3, 1), (1, 0), p)
 
 
+def test_polynomial_rejects_monomials_of_another_length():
+    # t4^7 in three variables would print, and evaluate() and act would
+    # drop it without a word
+    for mono, c in (((1, 0, 0, 7), 1), ((1, 0), 1), ((0, 0, 0, 1), 0)):
+        with pytest.raises(ValueError, match="is not of length 3$"):
+            CoordinatePolynomial(3, {mono: c})
+
+
 def test_module_dimensions_and_labels():
     cases = {
         "ut:3": (4, ("t12", "t23", "t13", "1")),
@@ -439,6 +447,21 @@ def test_search_mode_and_dimension_guard():
     with pytest.raises(GuardError, match="dimension 8") as info:
         ordering_search(big)
     assert "this module has dimension 9" in str(info.value)
+
+
+def test_report_first_finds_nothing_on_a_cycle():
+    # integral images with unit diagonal, but x_1 sends b0 into b1 and
+    # x_2 sends b1 into b0: the support digraph has the cycle
+    # 0 -> 1 -> 0, so no basis order is a linear extension of it
+    module = FunctionModule(
+        NilpotentPresentation(2, (1, 1), {}), [None] * 2, ["b0", "b1"],
+        {1: ((1, 1), (0, 1)), 2: ((1, 0), (1, 1))},
+    )
+    assert jennings._support(nickel._module_rows(module)) == (
+        True, {(0, 1), (1, 0)},
+    )
+    assert ordering_search(module, mode="report-first") == []
+    assert not any(r["unitriangular"] for r in ordering_search(module))
 
 
 SMALL_MODULE_GROUPS = (

@@ -273,8 +273,11 @@ def test_builtin_weights_and_labels():
 
 
 def test_builtin_rejects_bad_selectors():
+    # a size is a decimal integer: int() would also read "0_3" as 3,
+    # " 3" as 3 and a fullwidth digit as its value
     for bad in ("ut:1", "ut:0", "heisenberg:0", "freenil24", "nosuch",
-                "ut:4:diagonal", "ut:x"):
+                "ut:4:diagonal", "ut:x", "ut:0_3", "ut: 3", "ut:\uff13",
+                "heisenberg:1_0"):
         with pytest.raises(ValueError):
             builtin(bad)
     # the degenerate 2 x 2 case is allowed and is just the integers
@@ -311,6 +314,34 @@ def test_constructor_rejects_duplicate_relation_keys(relations):
     # also when one of its words is zero, instead of one word winning
     with pytest.raises(ValueError, match=r"^duplicate relation key \(2, 1\)$"):
         NilpotentPresentation(3, (1, 1, 2), relations)
+
+
+@pytest.mark.parametrize("weights,relations,what", [
+    ("112", {(2, 1): (0, 0, 1)}, "weights"),
+    ((1, 1, 2), {"21": (0, 0, 1)}, "relation key"),
+    ((1, 1, 2), {(2, 1): "001"}, "relation word"),
+    (range(1, 4), {(2, 1): (0, 0, 1)}, "weights"),
+    ((1, 1, 2), {(2, 1): iter((0, 0, 1))}, "relation word"),
+])
+def test_constructor_refuses_non_sequences(weights, relations, what):
+    # a string read character by character would pass as its digits;
+    # other iterables are refused with it, as only a list or a tuple is
+    # a sequence here
+    with pytest.raises(ValueError, match=f"^{what} must be a JSON list"):
+        NilpotentPresentation(3, weights, relations)
+
+
+def test_ambient_n_cap_at_construction(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(presentation, "elementary", no_matrix)
+    for n in (725, 10**9):
+        with pytest.raises(GuardError, match=f"^ambient_n = {n} has "):
+            NilpotentPresentation(
+                3, (1, 1, 2), {(2, 1): (0, 0, -1)},
+                positions=((1, 2), (2, 3), (1, 3)), ambient_n=n,
+            )
 
 
 def test_builtin_size_cap(monkeypatch):
@@ -408,12 +439,22 @@ def test_json_roundtrip():
     ([[1, 2], [2, 3], [1, 3]], 2.5),
     (None, 3),
     ({"1": 2}, 3),
+    ("121323", 3),
+    ([[1, 2], [2, 3], [5, 2]], 3),
+    ([[1, 2], [2, 3], [1, "3"]], "2"),
 ])
 def test_json_rejects_malformed_positions(positions, ambient_n):
-    obj = presentation_to_json(builtin("ut:3"))
+    p = builtin("ut:3")
+    obj = presentation_to_json(p)
     obj["positions"], obj["ambient_n"] = positions, ambient_n
     with pytest.raises(ValueError):
         presentation_from_json(obj)
+    # the constructor makes the decision, so the library refuses it too
+    with pytest.raises(ValueError):
+        NilpotentPresentation(
+            p.M, p.weights, p.relations, positions=positions,
+            ambient_n=ambient_n,
+        )
 
 
 def test_relation_failures_takes_binary_powers(monkeypatch):
