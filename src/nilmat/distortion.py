@@ -15,11 +15,14 @@ and its strata are read off that one echelon (LieAlgebraSpan.strata
 and .degree), so callers that want only the degree, such as
 jennings.image_degree and the ordering surveys, never standardize.
 distortion_degree standardizes to print slot witnesses beside the same
-strata.  Any generating set gives the same series, so
-distortion_degree and subgroup_depth both build it, through one cache,
-from what they are given: the input generators of a SubgroupGens,
-whose independent logarithms are never more than the slots, or the
-slots of a StandardizedSequence.  The group-side series
+strata.  standardize sifts into one table from each lead (level, row)
+to its slot and the slot's inverse; the sifter, the closure's dry check
+and member_certificate all peel that table (_peel), and the
+StandardizedSequence keeps it.  Any generating set gives the same
+series, so distortion_degree and subgroup_depth both build it, through
+one cache, from what they are given: the input generators of a
+SubgroupGens, whose independent logarithms are never more than the
+slots, or the slots of a StandardizedSequence.  The group-side series
 (lower_central_gens, commutators of the generators) serves only the
 independent oracle depth_by_powers.
 
@@ -45,6 +48,7 @@ from .matgroup import (
     _Frozen,
     _lead,
     _log_numerator,
+    _sequence,
     binary_power,
     commutator,
     elementary,
@@ -142,27 +146,37 @@ def subgroup_from_json(obj):
         gens = obj["generators"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed subgroup object: {exc}") from exc
-    return SubgroupGens(n, [matrix_from_json(g) for g in gens])
+    return SubgroupGens(
+        n, [matrix_from_json(g) for g in _sequence(gens, "generators")]
+    )
 
 
 class StandardizedSequence(_Frozen):
     """Generators of a subgroup in standard form.
 
+    Built from a table mapping each lead (level, 0-based row) to its
+    slot and the slot's inverse, as standardize's sifter leaves it.
     Slots are ordered by the lead of their first nonzero entry in
-    level-major order (see matgroup._lead); lead_pairs holds each lead
-    as (level, 0-based row), strictly increasing, and lead coefficients
-    are positive.  inverses[i] is slots[i] ** -1, kept from standardize.
-    After conjugation closure the sequence is polycyclic: every element
-    of the subgroup is a product of slot powers in slot order, which
-    makes membership decidable by a greedy peel with divisibility
-    checks.
+    level-major order (see matgroup._lead); lead_pairs holds the leads,
+    strictly increasing, and lead coefficients are positive.
+    inverses[i] is slots[i] ** -1.  The table itself is kept, privately,
+    for the peel of member_certificate.  After conjugation closure the
+    sequence is polycyclic: every element of the subgroup is a product
+    of slot powers in slot order, which makes membership decidable by a
+    greedy peel with divisibility checks.
     """
 
-    __slots__ = ("n", "slots", "lead_pairs", "coeffs", "inverses")
+    __slots__ = ("n", "slots", "lead_pairs", "coeffs", "inverses", "_table")
 
-    def __init__(self, n, slots, lead_pairs, coeffs, inverses):
-        self._freeze(n=n, slots=tuple(slots), lead_pairs=tuple(lead_pairs),
-                     coeffs=tuple(coeffs), inverses=tuple(inverses))
+    def __init__(self, n, table):
+        leads = tuple(sorted(table))
+        self._freeze(
+            n=n, lead_pairs=leads,
+            slots=tuple(table[k][0] for k in leads),
+            coeffs=tuple(table[l, i][0].entries[i][i + l] for l, i in leads),
+            inverses=tuple(table[k][1] for k in leads),
+            _table=dict(table),
+        )
 
     def __eq__(self, other):
         return (
@@ -203,11 +217,11 @@ def _power(x, xi, e):
     return binary_power(x, e, identity(x.n), inverse=lambda _: xi)
 
 
-def _peel(m, slots, inverses, exps=None):
+def _peel(m, table, exps=None):
     """Reduce m by the slots, lead by lead, as far as they reach.
 
-    slots and inverses map a lead (level, row) to a slot and to its
-    inverse.  While m's lead is a slot's lead and that slot's lead
+    table maps a lead (level, row) to a slot and its inverse, as a
+    pair.  While m's lead is a slot's lead and that slot's lead
     coefficient divides m's, m is multiplied on the left by the power
     of the slot, or of its inverse, that clears the lead; the exponent
     cleared is stored in exps[lead] when exps is given.  Each step
@@ -222,48 +236,47 @@ def _peel(m, slots, inverses, exps=None):
             return None, 0, m
         level, i = k
         a = m.entries[i][i + level]
-        g = slots.get(k)
-        if g is None:
+        entry = table.get(k)
+        if entry is None:
             return k, a, m
+        g, gi = entry
         e, r = divmod(a, g.entries[i][i + level])
         if r:
             return k, a, m
         if exps is not None:
             exps[k] = e
-        m = _power(g, inverses[k], -e) * m
+        m = _power(g, gi, -e) * m
 
 
 class _Sifter:
     """Mutable workspace for building a standardized sequence.
 
-    Slots are keyed by their lead (level, row).  Each slot's inverse is
-    kept beside it in ``inverses`` (inverted once, when the slot is
-    set), so a reduction step is a power of the slot or of its inverse
-    times the element.  A sift peels the element (_peel); where the
-    peel stops short of the identity, the element fills an empty slot,
-    or, at a slot whose lead coefficient does not divide the element's,
-    an xgcd merge of the two replaces the slot, the old slot is queued
-    for sifting again, and the peel resumes.
+    ``table`` maps each lead (level, row) to its slot and the slot's
+    inverse (inverted once, when the slot is set), so a reduction step
+    is a power of the slot or of its inverse times the element.  A sift
+    peels the element (_peel); where the peel stops short of the
+    identity, the element fills an empty slot, or, at a slot whose lead
+    coefficient does not divide the element's, an xgcd merge of the two
+    replaces the slot, the old slot is queued for sifting again, and
+    the peel resumes.
     """
 
-    def __init__(self, n):
-        self.n = n
-        self.slots = {}
-        self.inverses = {}
+    def __init__(self):
+        self.table = {}
         self.queue = []
 
     def sift(self, m):
         while True:
-            k, a, m = _peel(m, self.slots, self.inverses)
+            k, a, m = _peel(m, self.table)
             if k is None:
                 return
-            g = self.slots.get(k)
-            if g is None:
+            entry = self.table.get(k)
+            if entry is None:
                 mi = m.inverse()
-                self.slots[k], self.inverses[k] = (m, mi) if a > 0 else (mi, m)
+                self.table[k] = (m, mi) if a > 0 else (mi, m)
                 return
             level, i = k
-            gi = self.inverses[k]
+            g, gi = entry
             d, u, v = _xgcd(g.entries[i][i + level], a)
             # h = g**u * m**v has lead coefficient u*c + v*a = d > 0,
             # c being g's.
@@ -275,7 +288,7 @@ class _Sifter:
             else:
                 hi = m ** (-v) * _power(g, gi, -u)
                 h = hi.inverse()
-            self.slots[k], self.inverses[k] = h, hi
+            self.table[k] = h, hi
             self.queue.append(g)
 
     def drain(self):
@@ -292,8 +305,9 @@ def standardize(sub):
     conjugate is again a product of later-or-equal slots.  Termination
     is certain (slots only gain positions or shrink lead coefficients)
     but a generous round cap guards against implementation bugs.  The
-    conjugations read each slot's inverse from the sifter, which keeps
-    it beside the slot; the returned sequence keeps them too.
+    conjugations read each slot's inverse from the sifter's table,
+    which keeps it beside the slot; the returned sequence keeps that
+    table.
 
     Before each round of conjugate sifts over all pairs of slots, a dry
     check peels every forward conjugate s_a**-1 * s_b * s_a with
@@ -313,37 +327,31 @@ def standardize(sub):
     building anything, when N(N-1)/2 exceeds MAX_POSITIONS.
     """
     cap = _check_positions(sub.n) ** 2 + 4
-    sifter = _Sifter(sub.n)
+    sifter = _Sifter()
     for g in sub.generators:
         sifter.sift(g)
     sifter.drain()
-    slots, inverses = sifter.slots, sifter.inverses
+    table = sifter.table
     for _ in range(cap):
-        leads = sorted(slots)
+        leads = sorted(table)
         if all(
-            _peel(inverses[ka] * slots[kb] * slots[ka], slots, inverses)[0]
+            _peel(table[ka][1] * table[kb][0] * table[ka][0], table)[0]
             is None
             for ka, kb in combinations(leads, 2)
         ):
             break
         for ka in leads:
-            a, ai = slots[ka], inverses[ka]
+            a, ai = table[ka]
             for kb in leads:
                 if kb == ka:
                     continue
-                sifter.sift(ai * slots[kb] * a)
+                sifter.sift(ai * table[kb][0] * a)
                 sifter.drain()
-                sifter.sift(a * slots[kb] * ai)
+                sifter.sift(a * table[kb][0] * ai)
                 sifter.drain()
     else:
         raise RuntimeError("conjugation closure did not stabilize")
-    return StandardizedSequence(
-        sub.n,
-        [slots[k] for k in leads],
-        leads,
-        [slots[l, i].entries[i][i + l] for l, i in leads],
-        [inverses[k] for k in leads],
-    )
+    return StandardizedSequence(sub.n, table)
 
 
 def _as_sequence(sub):
@@ -370,8 +378,8 @@ def _nontrivial_sequence(sub):
 def member_certificate(h, sub):
     """Exponent tuple e with h == prod(slot_i ** e_i), or None.
 
-    The greedy peel (_peel) over the slots, with the inverses the
-    sequence keeps, so no inverse is formed.  The peel is complete
+    The greedy peel (_peel) over the sequence's table of slots and
+    their inverses, so no inverse is formed.  The peel is complete
     thanks to the closure performed by standardize: a nonmember stops
     it at a lead that is no slot's, at a lead coefficient the slot's
     does not divide, or with a residue past the last slot.
@@ -380,13 +388,7 @@ def member_certificate(h, sub):
     if h.n != seq.n:
         raise ValueError("size mismatch")
     exps = {}
-    lead, _, _ = _peel(
-        h,
-        dict(zip(seq.lead_pairs, seq.slots)),
-        dict(zip(seq.lead_pairs, seq.inverses)),
-        exps,
-    )
-    if lead is not None:
+    if _peel(h, seq._table, exps)[0] is not None:
         return None
     return tuple(exps.get(k, 0) for k in seq.lead_pairs)
 
@@ -522,11 +524,11 @@ class LieAlgebraSpan:
     only on the Lie algebra the generators generate, so a subgroup's
     generators and its standardized slots give the same depths; every
     layer is bracketed with W_1, so fewer generators cost fewer
-    brackets.
+    brackets.  No matrix size is kept: no generators give the zero
+    algebra, of dimension 0 and with no degree.
     """
 
-    def __init__(self, n, generators):
-        self.n = n
+    def __init__(self, generators):
         self._rows = {}  # pivot -> (primitive integer row, layer)
         self._primitives = {g: _primitive(g) for g in generators}
         base = _independent(self._primitives.values())
@@ -555,7 +557,6 @@ class LieAlgebraSpan:
         deepest tag first, so the rows tagged >= k span the conjugate
         of L_k."""
         span = object.__new__(LieAlgebraSpan)
-        span.n = self.n
         span._rows = {}
         span._primitives = {}
         for vec, tag in sorted(self._rows.values(), key=lambda r: -r[1]):
@@ -609,19 +610,14 @@ class LieAlgebraSpan:
         return max(Fraction(m, t) for m, t in self.strata())
 
 
-def lie_span(mats, n=None):
+def lie_span(mats):
     """Lie algebra generated by the matrices, with its lower central
     series (see LieAlgebraSpan).
 
     Accepts group elements (standing for their logarithms) or nilpotent
-    rational matrices.
+    rational matrices; no matrices give the zero algebra.
     """
-    mats = list(mats)
-    if n is None:
-        if not mats:
-            raise ValueError("cannot infer size from an empty list")
-        n = mats[0].n
-    return LieAlgebraSpan(n, mats)
+    return LieAlgebraSpan(mats)
 
 
 @lru_cache(maxsize=128)
@@ -631,9 +627,9 @@ def _series(sub):
     generators never cost more brackets: their W_1 is an independent
     subset of at most min(G, h) of them, against all h slots, whose
     leads are distinct."""
-    if isinstance(sub, SubgroupGens):
-        return lie_span(sub.generators, sub.n)
-    return lie_span(sub.slots, sub.n)
+    return lie_span(
+        sub.generators if isinstance(sub, SubgroupGens) else sub.slots
+    )
 
 
 def subgroup_depth(h, sub):

@@ -60,7 +60,8 @@ class CoordinatePolynomial(_Frozen):
 
     Terms map exponent tuples of length nvars to rational coefficients,
     each divided by den; zero coefficients are never stored.  A
-    monomial of another length raises ValueError, zero or not.
+    monomial of another length raises ValueError, zero or not.  Equal
+    when of equal nvars with equal terms.
     """
 
     __slots__ = ("nvars", "terms")
@@ -99,6 +100,7 @@ class CoordinatePolynomial(_Frozen):
     def __eq__(self, other):
         return (
             isinstance(other, CoordinatePolynomial)
+            and self.nvars == other.nvars
             and self.terms == other.terms
         )
 

@@ -368,6 +368,18 @@ def _check_relation_entries(name, words, M):
         )
 
 
+def _size(name, text):
+    """The size in the builtin name, a decimal integer written as its
+    str, so that the name round-trips to the label: "+3" and "03" raise
+    ValueError as "0_3" and " 3" do."""
+    m = _entry_from_json(text, f"builtin {name!r}: size")
+    if str(m) != text:
+        raise ValueError(
+            f"builtin {name!r}: size {text!r} is not written as {m}"
+        )
+    return m
+
+
 def builtin(name):
     """Stock presentations.
 
@@ -381,15 +393,16 @@ def builtin(name):
     * ``freenil23``: rank-2 class-3 free nilpotent group on the Hall
       basis y1, y2, y3 = [y1, y2], y4 = [y1, y3], y5 = [y2, y3].
 
-    Raises GuardError, before building any matrix, when the relation
-    words would hold more than MAX_RELATION_ENTRIES entries in all.
+    A size is written as its decimal str (see _size).  Raises
+    GuardError, before building any matrix, when the relation words
+    would hold more than MAX_RELATION_ENTRIES entries in all.
     """
     parts = name.split(":")
     kind = parts[0]
     if kind == "ut":
         if len(parts) not in (2, 3):
             raise ValueError(f"bad builtin name {name!r}")
-        m = _entry_from_json(parts[1], f"builtin {name!r}: size")
+        m = _size(name, parts[1])
         if m < 2:
             raise ValueError("ut:m needs m >= 2")
         _check_relation_entries(name, comb(m, 3), m * (m - 1) // 2)
@@ -411,7 +424,7 @@ def builtin(name):
     if kind == "heisenberg":
         if len(parts) != 2:
             raise ValueError(f"bad builtin name {name!r}")
-        n = _entry_from_json(parts[1], f"builtin {name!r}: size")
+        n = _size(name, parts[1])
         if n < 1:
             raise ValueError("heisenberg:n needs n >= 1")
         M = 2 * n + 1
@@ -471,7 +484,7 @@ def presentation_from_json(obj):
     except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"malformed presentation object: {exc}") from exc
     rels = []
-    for item in raw:
+    for item in _sequence(raw, "relations"):
         try:
             rels.append(((item["j"], item["i"]), item["word"]))
         except (TypeError, KeyError) as exc:

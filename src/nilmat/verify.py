@@ -99,20 +99,27 @@ def check_weight_lex_image():
     return "image weight 2 for the second generator, image degree 3"
 
 
+def _check_undistorted(m, p, emb):
+    """emb, an embedding of p = builtin ut:m:scheme, is unitriangular
+    and passes its relators, its image weights are the levels j - i of
+    p's positions, and its image degree is 1."""
+    if not (emb.unitriangular and emb.relators_ok):
+        raise AssertionError(f"ut:{m}: flags {emb.unitriangular}")
+    weights = image_weights(emb)
+    wanted = tuple(j - i for (i, j) in p.positions)
+    if weights != wanted:
+        raise AssertionError(f"ut:{m}: weights {weights} != {wanted}")
+    degree = image_degree(emb)
+    if degree != 1:
+        raise AssertionError(f"ut:{m}: degree {degree}")
+
+
 def check_scheme_perturbed():
     details = []
     for m in (3, 4, 5):
         p = builtin(f"ut:{m}:scheme")
         emb = jennings_embedding(p, order="scheme-perturbed")
-        if not (emb.unitriangular and emb.relators_ok):
-            raise AssertionError(f"ut:{m}: flags {emb.unitriangular}")
-        weights = image_weights(emb)
-        wanted = tuple(j - i for (i, j) in p.positions)
-        if weights != wanted:
-            raise AssertionError(f"ut:{m}: weights {weights} != {wanted}")
-        degree = image_degree(emb)
-        if degree != 1:
-            raise AssertionError(f"ut:{m}: degree {degree}")
+        _check_undistorted(m, p, emb)
         details.append(f"ut:{m} d={emb.d}")
     return "undistorted with preserved weights: " + ", ".join(details)
 
@@ -139,16 +146,7 @@ def check_function_module_ut():
             raise AssertionError(
                 f"ut:{m}: module dimension {module.dimension}"
             )
-        emb = nickel_embedding(p)
-        if not (emb.unitriangular and emb.relators_ok):
-            raise AssertionError(f"ut:{m}: flags {emb.unitriangular}")
-        weights = image_weights(emb)
-        wanted = tuple(j - i for (i, j) in p.positions)
-        if weights != wanted:
-            raise AssertionError(f"ut:{m}: weights {weights} != {wanted}")
-        degree = image_degree(emb)
-        if degree != 1:
-            raise AssertionError(f"ut:{m}: degree {degree}")
+        _check_undistorted(m, p, nickel_embedding(p))
         details.append(f"ut:{m} dim={module.dimension}")
     return "declared orderings undistorted: " + ", ".join(details)
 

@@ -362,6 +362,19 @@ def test_embed_rejects_non_integer_presentation_fields(
             assert f"{field} must be a JSON list, not str" in err
 
 
+@pytest.mark.parametrize("argv,payload", [
+    (("distortion",), {"N": 3, "generators": 5}),
+    (("embed", "jennings"), {"M": 1, "weights": [1], "relations": 5}),
+])
+def test_non_list_reader_fields_exit_1(capsys, tmp_path, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, *argv, f"file:{path}")
+    assert rc == 1 and out == ""
+    field = "generators" if "N" in payload else "relations"
+    assert err == f"nilmat: error: {field} must be a JSON list, not int\n"
+
+
 def test_construct_json(capsys):
     rc, out, _ = run(capsys, "construct", "--p", "3", "--q", "2")
     assert rc == 0
@@ -467,6 +480,21 @@ def test_loose_integers_in_names_and_orders_exit_1(capsys, argv):
     assert err.startswith("nilmat: error:")
     if "--order" not in argv:
         assert "is not an integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("embed", "jennings", "ut:+3"),
+    ("embed", "jennings", "ut:03"),
+    ("orderings", "jennings", "ut:03"),
+    ("embed", "nickel", "heisenberg:02"),
+])
+def test_builtin_sizes_round_trip_to_the_label(capsys, argv):
+    # each once built the group labelled ut:3 or heisenberg:2, exit 0
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    size = argv[2].split(":")[1]
+    assert err.startswith("nilmat: error:")
+    assert f"size {size!r} is not written as {int(size)}" in err
 
 
 def test_guard_exit_3(capsys, monkeypatch):

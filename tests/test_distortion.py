@@ -1,7 +1,9 @@
 """Membership, depth, and exact distortion degrees."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -88,6 +90,23 @@ def test_member_certificate_refuses_where_the_peel_stops():
     assert member_certificate(e12 ** -4 * e34 ** 3, seq) == (-2, 3)
 
 
+def test_restored_sequence_peels_its_own_table():
+    # the (slot, inverse) table is a private field, which copy and
+    # pickle must carry for member_certificate to peel it
+    e12, e23, e34, e14 = (
+        elementary(4, i, j) for i, j in ((1, 2), (2, 3), (3, 4), (1, 4))
+    )
+    seq = standardize(SubgroupGens(4, [e12 ** 2, e34]))
+    words = [e23, e12, e12 ** 2 * e34 * e14, e12 ** -4 * e34 ** 3, e14]
+    want = [member_certificate(h, seq) for h in words]
+    assert want == [None, None, None, (-2, 3), None]
+    for restored in (
+        pickle.loads(pickle.dumps(seq)), copy.copy(seq), copy.deepcopy(seq)
+    ):
+        assert restored == seq
+        assert [member_certificate(h, restored) for h in words] == want
+
+
 def test_member_certificate_forms_no_inverse(monkeypatch):
     seq = standardize(disguised(9, 4, 94))
     words = [s ** e for s in seq.slots for e in (-2, 3)]
@@ -112,7 +131,7 @@ def test_membership_accepts_words_and_certifies_them():
         if not seq.slots:
             continue
         checked += 1
-        span = lie_span([log_unipotent(s) for s in seq.slots], n=4)
+        span = lie_span([log_unipotent(s) for s in seq.slots])
         for _ in range(40):
             h = identity(4)
             for _ in range(rng.randint(1, 4)):
@@ -132,7 +151,7 @@ def test_membership_accepts_words_and_certifies_them():
 def test_membership_rejects_outside_the_span():
     sub = SubgroupGens(3, [elementary(3, 1, 2), elementary(3, 1, 3)])
     seq = standardize(sub)
-    span = lie_span([log_unipotent(s) for s in seq.slots], n=3)
+    span = lie_span([log_unipotent(s) for s in seq.slots])
     for outsider in (
         elementary(3, 2, 3),
         elementary(3, 1, 2) * elementary(3, 2, 3),
@@ -361,6 +380,9 @@ def test_json_roundtrips():
     assert obj["d_H"] == "3/2"
     assert all(entry.keys() == {"m", "t", "witness"}
                for entry in obj["strata"])
+    # once a TypeError from iterating the int
+    with pytest.raises(ValueError, match="^generators must be a JSON list"):
+        subgroup_from_json({"N": 3, "generators": 5})
 
 
 def conjugated(p, q, seed):
@@ -450,10 +472,11 @@ def integral_multiple(x, c):
 
 
 def test_lie_degree_of_the_trivial_subgroup_is_undefined():
-    span = lie_span([identity(3)])
-    assert span.strata() == ()
-    with pytest.raises(ValueError, match="trivial"):
-        span.degree
+    # no generators give the zero algebra too, with no size to infer
+    for span in (lie_span([identity(3)]), lie_span([])):
+        assert span.strata() == () and span.dimension == 0
+        with pytest.raises(ValueError, match="trivial"):
+            span.degree
 
 
 def test_lie_span_ignores_scaling():
@@ -508,9 +531,9 @@ def test_standardize_inverts_once_per_slot_assignment(monkeypatch):
             super().__setitem__(k, v)
 
     class Sifter(distortion._Sifter):
-        def __init__(self, n):
-            super().__init__(n)
-            self.slots = CountingSlots()
+        def __init__(self):
+            super().__init__()
+            self.table = CountingSlots()
 
     sub = disguised(9, 4, 94)
     monkeypatch.setattr(UnitriangularMatrix, "inverse", counting_inverse)
@@ -536,7 +559,7 @@ def test_degree_takes_each_slot_logarithm_once(monkeypatch):
     report = distortion_degree(seq)
     assert calls == len(seq)
     assert report.degree == Fraction(8, 3)
-    span = lie_span(seq.slots, seq.n)
+    span = lie_span(seq.slots)
     assert [subgroup_depth(s, seq) for s in seq.slots] == [
         span.depth(s) for s in seq.slots
     ]
@@ -660,7 +683,7 @@ def test_engine_shortcuts_keep_slots_depths_and_reports():
             continue
         # subgroup_depth on a sequence reads the slot series, as the
         # sequence's report does
-        span = lie_span(sub.generators, sub.n)
+        span = lie_span(sub.generators)
         assert [span.depth(s) for s in seq.slots] == [
             subgroup_depth(s, seq) for s in seq.slots
         ], sub
@@ -691,7 +714,7 @@ def test_degree_brackets_the_generators(monkeypatch):
     brackets = counting(monkeypatch, RationalNilpotentMatrix, "bracket")
     report = distortion_degree(sub)
     from_gens = brackets[0]
-    slot_span = lie_span(seq.slots, seq.n)
+    slot_span = lie_span(seq.slots)
     slot_depths = [slot_span.depth(s) for s in seq.slots]
     assert from_gens < brackets[0] - from_gens
     assert report.degree == Fraction(16, 5)

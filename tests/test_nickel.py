@@ -137,6 +137,16 @@ def test_polynomial_rejects_monomials_of_another_length():
             CoordinatePolynomial(3, {mono: c})
 
 
+def test_polynomial_equality_agrees_with_its_hash():
+    # the zero polynomials of two arities once compared equal while
+    # hashing apart
+    zeros = [CoordinatePolynomial(2, {}), CoordinatePolynomial(3, {})]
+    assert zeros[0] != zeros[1]
+    assert len(set(zeros)) == 2
+    again = CoordinatePolynomial(3, {(0, 0, 0): 0})
+    assert again == zeros[1] and hash(again) == hash(zeros[1])
+
+
 def test_module_dimensions_and_labels():
     cases = {
         "ut:3": (4, ("t12", "t23", "t13", "1")),

@@ -280,8 +280,13 @@ def test_builtin_rejects_bad_selectors():
                 "heisenberg:1_0"):
         with pytest.raises(ValueError):
             builtin(bad)
+    # written as its str, so that the name round-trips to the label
+    for bad in ("ut:+3", "ut:03", "heisenberg:02", "ut:-0"):
+        with pytest.raises(ValueError, match="is not written as"):
+            builtin(bad)
     # the degenerate 2 x 2 case is allowed and is just the integers
     assert builtin("ut:2").M == 1
+    assert builtin("ut:3:lcs-standard").label == "ut:3"
 
 
 @pytest.mark.parametrize("flavor", PositionBasis.FLAVORS)
@@ -424,6 +429,9 @@ def test_json_roundtrip():
     # heisenberg:3 sits in UT_5 with x_1, x_2 at (1, 2), (1, 3)
     assert obj["positions"][:2] == [[1, 2], [1, 3]]
     assert obj["ambient_n"] == 5
+    # once a TypeError from iterating the int
+    with pytest.raises(ValueError, match="^relations must be a JSON list"):
+        presentation_from_json({"M": 1, "weights": [1], "relations": 5})
 
 
 @pytest.mark.parametrize("positions,ambient_n", [

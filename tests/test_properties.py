@@ -224,7 +224,7 @@ def test_subgroup_depth_matches_the_slot_series(sub, data):
     assume(seq.slots)
     h = word(data.draw, seq.slots, max_size=4)
     assume(not h.is_identity)
-    assert subgroup_depth(h, sub) == lie_span(seq.slots, seq.n).depth(h)
+    assert subgroup_depth(h, sub) == lie_span(seq.slots).depth(h)
 
 
 def group_strata(sub):
@@ -240,7 +240,7 @@ def group_strata(sub):
 
 
 def assert_lie_strata_match(sub):
-    span = lie_span(sub.generators, sub.n)
+    span = lie_span(sub.generators)
     assert span.strata() == group_strata(sub)
     assert span.degree == distortion_degree(sub).degree
 
