@@ -373,9 +373,6 @@ def main(argv=None):
     except GuardError as exc:
         print(f"nilmat: guard: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print(f"nilmat: error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, TypeError, OverflowError, OSError,
             RecursionError) as exc:
         print(f"nilmat: error: {exc}", file=sys.stderr)

@@ -8,17 +8,20 @@ depth inside the subgroup is the position of an element in the
 subgroup's isolated lower central series.  By the Malcev
 correspondence that position is the largest k with log h in L_k, the
 k-th lower central term of the rational Lie algebra L_1 generated by
-the logarithms of the subgroup's generators; LieAlgebraSpan holds the
-whole series L_1 >= L_2 >= ... in integer echelon form, pivoting in
-level-major order.  The degree (Osin: the largest level(h)/depth(h))
-and its strata are read off that one echelon (LieAlgebraSpan.strata
-and .degree), so callers that want only the degree, such as
-jennings.image_degree and the ordering surveys, never standardize.
-distortion_degree standardizes to print slot witnesses beside the same
-strata.  standardize sifts into one table from each lead (level, row)
-to its slot and the slot's inverse; the sifter, the closure's dry check
-and member_certificate all peel that table (_peel), and the
-StandardizedSequence keeps it.  Any generating set gives the same
+the logarithms of the subgroup's generators.  lie_span brackets them
+layer by layer and tags each vector with its layer; LieAlgebraSpan is
+the one echelon those tagged vectors feed, holding the whole series
+L_1 >= L_2 >= ... in integer echelon form, pivoting in level-major
+order, and permuted feeds it the same rows re-keyed.  The degree
+(Osin: the largest level(h)/depth(h)) and its strata are read off that
+one echelon (LieAlgebraSpan.strata and .degree), so callers that want
+only the degree, such as jennings.image_degree and the ordering
+surveys, never standardize.  distortion_degree standardizes to print
+slot witnesses beside the same strata.  standardize sifts into one
+table from each lead (level, row) to its slot and the slot's inverse;
+the sifter, the closure's dry check and member_certificate all peel
+that table (_peel), and the StandardizedSequence keeps only that table
+and the leads and slots read off it.  Any generating set gives the same
 series, so distortion_degree and subgroup_depth both build it, through
 one cache, from what they are given: the input generators of a
 SubgroupGens, whose independent logarithms are never more than the
@@ -155,27 +158,23 @@ class StandardizedSequence(_Frozen):
     """Generators of a subgroup in standard form.
 
     Built from a table mapping each lead (level, 0-based row) to its
-    slot and the slot's inverse, as standardize's sifter leaves it.
+    slot and the slot's inverse, as standardize's sifter leaves it, and
+    keeps that table, privately, for the peel of member_certificate.
     Slots are ordered by the lead of their first nonzero entry in
     level-major order (see matgroup._lead); lead_pairs holds the leads,
-    strictly increasing, and lead coefficients are positive.
-    inverses[i] is slots[i] ** -1.  The table itself is kept, privately,
-    for the peel of member_certificate.  After conjugation closure the
-    sequence is polycyclic: every element of the subgroup is a product
-    of slot powers in slot order, which makes membership decidable by a
-    greedy peel with divisibility checks.
+    strictly increasing, and lead coefficients are positive.  After
+    conjugation closure the sequence is polycyclic: every element of
+    the subgroup is a product of slot powers in slot order, which makes
+    membership decidable by a greedy peel with divisibility checks.
     """
 
-    __slots__ = ("n", "slots", "lead_pairs", "coeffs", "inverses", "_table")
+    __slots__ = ("n", "slots", "lead_pairs", "_table")
 
     def __init__(self, n, table):
         leads = tuple(sorted(table))
         self._freeze(
             n=n, lead_pairs=leads,
-            slots=tuple(table[k][0] for k in leads),
-            coeffs=tuple(table[l, i][0].entries[i][i + l] for l, i in leads),
-            inverses=tuple(table[k][1] for k in leads),
-            _table=dict(table),
+            slots=tuple(table[k][0] for k in leads), _table=dict(table),
         )
 
     def __eq__(self, other):
@@ -187,15 +186,6 @@ class StandardizedSequence(_Frozen):
 
     def __hash__(self):
         return hash((self.n, self.slots))
-
-    @property
-    def leads(self):
-        """Index of each slot's lead among the N(N-1)/2 positions in
-        level-major order."""
-        n = self.n
-        return tuple(
-            (l - 1) * n - l * (l - 1) // 2 + i for l, i in self.lead_pairs
-        )
 
     @property
     def levels(self):
@@ -503,70 +493,50 @@ def _independent(pairs):
 
 
 class LieAlgebraSpan:
-    """Rational Lie algebra generated by nilpotent matrices, with its
-    lower central series.
+    """Lower central series of a rational Lie algebra of n x n nilpotent
+    matrices, as one echelon of tagged vectors.
 
-    L_1 is spanned by the left-normed brackets of the generators and
-    L_k by those of k or more of them.  W_1 is a basis of the
-    generators' span, W_2 a basis of the brackets of its pairs, and
-    W_{k+1} a basis of the brackets [b, g] with b in W_k and g in W_1,
-    so L_k = span(W_k, W_{k+1}, ...); the brackets vanish past the
-    matrix size.  The series is one echelon basis of primitive integer
-    vectors, sparse and keyed by level-major (level, row), inserted
-    deepest layer first, each row tagged with the layer it entered at:
-    the rows tagged >= k span L_k, in any coordinate order.  Scaling a
-    vector does not change a rational span, so no Fraction is formed.
+    Built from (vector, tag) pairs: each vector a primitive integer
+    vector, sparse and keyed by level-major (level, row), and each tag
+    the depth k of the series term L_k it spans into.  The vectors are
+    inserted deepest tag first (in the given order within a tag), each
+    row keeping the tag it entered with, so the rows tagged >= k span
+    L_k, in any coordinate order.  Scaling a vector does not change a
+    rational span, so no Fraction is formed.  Nothing is bracketed
+    here: lie_span brackets the layers, and permuted re-keys the rows.
+    n is the matrices' size, or None for the zero algebra of no
+    generators.
 
     Methods take nilpotent matrices or group elements, which stand for
-    their logarithms.  Each generator and each bracket is made a
-    primitive integer matrix and vector once (see _primitive), and
-    depth and contains reuse a generator's vector.  The series depends
-    only on the Lie algebra the generators generate, so a subgroup's
-    generators and its standardized slots give the same depths; every
-    layer is bracketed with W_1, so fewer generators cost fewer
-    brackets.  No matrix size is kept: no generators give the zero
-    algebra, of dimension 0 and with no degree.
+    their logarithms, and refuse a matrix of another size.  Each is
+    made a primitive integer vector (see _primitive); depth and
+    contains reuse the vectors lie_span made of its generators.
     """
 
-    def __init__(self, generators):
-        self._rows = {}  # pivot -> (primitive integer row, layer)
-        self._primitives = {g: _primitive(g) for g in generators}
-        base = _independent(self._primitives.values())
-        layers = []
-        layer = base
-        while layer:
-            layers.append(layer)
-            # [b, b] = 0 and [g, b] = -[b, g]: layer 1 brackets only
-            # the pairs b before g
-            pairs = (
-                combinations(base, 2) if len(layers) == 1
-                else product(layer, base)
-            )
-            layer = _independent(
-                _primitive(b.bracket(g)) for (b, _), (g, _) in pairs
-            )
-        for k in range(len(layers), 0, -1):
-            for _, vec in layers[k - 1]:
-                _insert(self._rows, vec, k)
+    def __init__(self, n, tagged):
+        self.n = n
+        self._rows = {}  # pivot -> (primitive integer row, tag)
+        self._primitives = {}  # matrix -> _primitive(matrix)
+        for vec, tag in sorted(tagged, key=lambda p: -p[1]):
+            _insert(self._rows, vec, tag)
 
     def permuted(self, sigma):
         """The series of the generators conjugated by the permutation
         taking index i to sigma[i], with no bracket taken, for a sigma
         keeping them upper triangular: each row is re-keyed from
-        (j - i, i) to (sigma[j] - sigma[i], sigma[i]) and re-inserted,
-        deepest tag first, so the rows tagged >= k span the conjugate
-        of L_k."""
-        span = object.__new__(LieAlgebraSpan)
-        span._rows = {}
-        span._primitives = {}
-        for vec, tag in sorted(self._rows.values(), key=lambda r: -r[1]):
-            _insert(span._rows, {
+        (j - i, i) to (sigma[j] - sigma[i], sigma[i]), keeping its tag,
+        so the rows tagged >= k span the conjugate of L_k."""
+        return LieAlgebraSpan(self.n, [
+            ({
                 (sigma[l + i] - sigma[i], sigma[i]): e
                 for (l, i), e in vec.items()
             }, tag)
-        return span
+            for vec, tag in self._rows.values()
+        ])
 
     def _expand(self, mat):
+        if self.n is not None and mat.n != self.n:
+            raise ValueError("size mismatch")
         vec = (self._primitives.get(mat) or _primitive(mat))[1]
         return _reduce(self._rows, vec)
 
@@ -615,9 +585,38 @@ def lie_span(mats):
     series (see LieAlgebraSpan).
 
     Accepts group elements (standing for their logarithms) or nilpotent
-    rational matrices; no matrices give the zero algebra.
+    rational matrices, all of one size (ValueError "size mismatch"
+    otherwise); no matrices give the zero algebra.  L_1 is spanned by
+    the left-normed brackets of the generators and L_k by those of k or
+    more of them.  W_1 is a basis of the generators' span, W_2 a basis
+    of the brackets of its pairs, and W_{k+1} a basis of the brackets
+    [b, g] with b in W_k and g in W_1, so L_k = span(W_k, W_{k+1}, ...);
+    the brackets vanish past the matrix size.  Each vector of W_k is
+    tagged k.  Each generator and each bracket is made a primitive
+    integer matrix and vector once, and the span keeps the generators'.
+    The series depends only on the Lie algebra the generators generate,
+    so a subgroup's generators and its standardized slots give the same
+    depths; every layer is bracketed with W_1, so fewer generators cost
+    fewer brackets.
     """
-    return LieAlgebraSpan(mats)
+    primitives = {g: _primitive(g) for g in mats}
+    sizes = {g.n for g in primitives}
+    if len(sizes) > 1:
+        raise ValueError("size mismatch")
+    base = _independent(primitives.values())
+    tagged, layer, k = [], base, 1
+    while layer:
+        tagged += [(vec, k) for _, vec in layer]
+        # [b, b] = 0 and [g, b] = -[b, g]: layer 1 brackets only the
+        # pairs b before g
+        pairs = combinations(base, 2) if k == 1 else product(layer, base)
+        layer = _independent(
+            _primitive(b.bracket(g)) for (b, _), (g, _) in pairs
+        )
+        k += 1
+    span = LieAlgebraSpan(max(sizes, default=None), tagged)
+    span._primitives = primitives
+    return span
 
 
 @lru_cache(maxsize=128)

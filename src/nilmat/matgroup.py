@@ -391,7 +391,8 @@ class RationalNilpotentMatrix(_SparseMatrix):
     """Strictly upper triangular matrix over the rationals.
 
     The Lie-algebra side of the package: closed under +, -, scalar
-    multiplication, matrix product and bracket().  Entries are ints or
+    multiplication, matrix product and bracket(); a sum, product or
+    bracket of two sizes raises ValueError.  Entries are ints or
     Fractions (see _exact); int entries stay ints through every
     operation, so an integer-scaled matrix brackets without forming a
     Fraction.
@@ -409,6 +410,8 @@ class RationalNilpotentMatrix(_SparseMatrix):
         self._set(n, entries)
 
     def __add__(self, other):
+        if other.n != self.n:
+            raise ValueError("size mismatch")
         return _build(RationalNilpotentMatrix, self.n, [
             _add_into(dict(ra), 1, rb)
             for ra, rb in zip(self.entries, other.entries)
@@ -458,10 +461,13 @@ def _add_into(acc, c, row):
 
 def _products(cls, terms):
     """The matrix of class cls summing sign * x * y over the (sign, x,
-    y) in terms, row by row: row i of x * y is the sum of x_ik * y_k."""
+    y) in terms, row by row: row i of x * y is the sum of x_ik * y_k.
+    ValueError "size mismatch" unless every factor has one size."""
     n = terms[0][1].n
     out = [{} for _ in range(n)]
     for sign, x, y in terms:
+        if x.n != n or y.n != n:
+            raise ValueError("size mismatch")
         for acc, xi in zip(out, x.entries):
             for k, c in xi.items():
                 _add_into(acc, sign * c, y.entries[k])

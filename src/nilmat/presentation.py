@@ -65,6 +65,7 @@ class NilpotentPresentation:
     and each pair must be lists or tuples: a string in their place
     raises ValueError instead of being read character by character, and
     so does any other iterable, such as a range or a generator.
+    label, printed as the group's name, must be a str or None.
     An ambient_n whose N(N-1)/2 exceeds MAX_POSITIONS (so N <= 724)
     raises GuardError before any matrix is built: the realization's
     matrices (validate(deep=True)) have that size.
@@ -72,6 +73,8 @@ class NilpotentPresentation:
 
     def __init__(self, M, weights, relations, label=None, positions=None,
                  ambient_n=None):
+        if label is not None and type(label) is not str:
+            raise ValueError(f"label must be a string or null, not {label!r}")
         M = _entry_from_json(M, "M")
         if M < 1:
             raise ValueError("need at least one generator")

@@ -334,6 +334,8 @@ def test_distortion_rejects_deeply_nested_json(capsys, tmp_path):
     ("word", True), ("word", -1.0),
     # the digits of the right list, as a string in its place
     ("weights", "112"), ("relation word", "001"),
+    # a label is printed as the group's name, so it must be a string
+    ("label", {"x": 1}), ("label", 7),
 ])
 def test_embed_rejects_non_integer_presentation_fields(
     capsys, tmp_path, field, value
@@ -350,6 +352,8 @@ def test_embed_rejects_non_integer_presentation_fields(
         rel["j"] = value
     elif field == "word":
         rel["word"][2] = value
+    elif field == "label":
+        obj["label"] = value
     else:
         rel["word"] = value
     path = tmp_path / "group.json"
@@ -360,6 +364,8 @@ def test_embed_rejects_non_integer_presentation_fields(
         assert err.startswith("nilmat: error:")
         if isinstance(value, str):
             assert f"{field} must be a JSON list, not str" in err
+        if field == "label":
+            assert f"label must be a string or null, not {value!r}" in err
 
 
 @pytest.mark.parametrize("argv,payload", [

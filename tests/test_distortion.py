@@ -14,6 +14,7 @@ import pytest
 from nilmat import distortion, matgroup
 from nilmat.distortion import (
     GuardError,
+    LieAlgebraSpan,
     SubgroupGens,
     ball,
     brute_force_degree,
@@ -34,6 +35,7 @@ from nilmat.distortion import (
 from nilmat.jennings import jennings_embedding
 from nilmat.matgroup import (
     RationalNilpotentMatrix,
+    RationalSquareMatrix,
     UnitriangularMatrix,
     _log_numerator,
     elementary,
@@ -63,8 +65,10 @@ def random_subgroup(rng, n=4):
 def test_standardize_closes_the_generating_pair():
     seq = standardize(full_ut3())
     assert len(seq) == 3
-    assert seq.leads == (0, 1, 2)
-    assert seq.coeffs == (1, 1, 1)
+    assert seq.lead_pairs == ((1, 0), (1, 1), (2, 0))
+    assert [
+        s.entries[i][i + l] for (l, i), s in zip(seq.lead_pairs, seq.slots)
+    ] == [1, 1, 1]
     assert seq.levels == (1, 1, 2)
 
 
@@ -515,6 +519,53 @@ def test_lie_span_ignores_scaling():
     assert fractional and depths >= {1, 2}
 
 
+def test_lie_echelon_does_not_depend_on_feed_order():
+    # every left-normed bracket of the logarithms, tagged with its
+    # weight, spans the series lie_span builds from its bases, and the
+    # echelon reads the same fed in either order
+    rng = random.Random(2701)
+    for _ in range(5):
+        gens = random_subgroup(rng, n=5).generators
+        logs = [log_unipotent(g) for g in gens]
+        mats, tagged, layer = [], [], logs
+        for k in range(1, 5):
+            layer = [x for x in layer if not x.is_zero]
+            mats += layer
+            tagged += [(distortion._primitive(x)[1], k) for x in layer]
+            layer = [x.bracket(g) for x in layer for g in logs]
+        span = lie_span(gens)
+        depths = [span.depth(x) for x in mats]
+        for fed in (
+            LieAlgebraSpan(5, tagged), LieAlgebraSpan(5, tagged[::-1])
+        ):
+            assert fed.strata() == span.strata()
+            assert fed.dimension == span.dimension
+            assert [fed.depth(x) for x in mats] == depths
+
+
+E3, E4 = elementary(3, 1, 2), elementary(4, 1, 2)
+L3, L4 = log_unipotent(E3), log_unipotent(E4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: L3.bracket(L4),
+    lambda: L3 * L4,
+    lambda: L3 + L4,
+    lambda: RationalSquareMatrix(E3.rows) * RationalSquareMatrix(E4.rows),
+    # the second generator is dependent, so no bracket would run
+    lambda: lie_span([E3, E4]),
+    lambda: lie_span([E3]).depth(E4),
+    lambda: lie_span([E3]).contains(E4),
+], ids=[
+    "bracket", "product", "sum", "square_product", "lie_span", "depth",
+    "contains",
+])
+def test_mixed_sizes_are_refused(call):
+    # each once returned a value of the first operand's size
+    with pytest.raises(ValueError, match="size mismatch"):
+        call()
+
+
 def test_standardize_inverts_once_per_slot_assignment(monkeypatch):
     inverses = assignments = 0
     invert = UnitriangularMatrix.inverse
@@ -583,8 +634,9 @@ def reference_standardize(sub):
     """standardize's closure with none of its shortcuts, and none of its
     code: sift the generators, then sift both conjugates of every pair
     of slots in every round until a round changes no slot.  Returns
-    (lead_pairs, slots, coeffs, inverses, sifts), sifts the number of
-    sift calls made."""
+    (lead_pairs, slots, table, sifts): table maps each lead to its slot
+    and the slot's inverse, and sifts is the number of sift calls
+    made."""
     slots, inverses, queue, sifts = {}, {}, [], 0
 
     def power(k, e):
@@ -637,8 +689,7 @@ def reference_standardize(sub):
     leads = sorted(slots)
     return (
         tuple(leads), tuple(slots[k] for k in leads),
-        tuple(slots[l, i].entries[i][i + l] for l, i in leads),
-        tuple(inverses[k] for k in leads), sifts,
+        {k: (slots[k], inverses[k]) for k in leads}, sifts,
     )
 
 
@@ -676,8 +727,8 @@ def test_engine_shortcuts_keep_slots_depths_and_reports():
     routes = [0, 0]
     for sub in equivalence_inputs():
         seq = standardize(sub)
-        assert (seq.lead_pairs, seq.slots, seq.coeffs, seq.inverses) == (
-            reference_standardize(sub)[:4]
+        assert (seq.lead_pairs, seq.slots, seq._table) == (
+            reference_standardize(sub)[:3]
         ), sub
         if not seq.slots:
             continue
@@ -749,9 +800,7 @@ def test_closure_stops_on_a_dry_check(monkeypatch):
     sifts = counting(monkeypatch, distortion._Sifter, "sift")
     seq = standardize.__wrapped__(sub)
     *slots, reference_sifts = reference_standardize(sub)
-    assert (
-        seq.lead_pairs, seq.slots, seq.coeffs, seq.inverses
-    ) == tuple(slots)
+    assert (seq.lead_pairs, seq.slots, seq._table) == tuple(slots)
     assert 2 * sifts[0] < reference_sifts
 
 
@@ -800,6 +849,7 @@ def test_permuted_span_is_the_span_of_the_conjugates():
     assert moved.strata() == fresh.strata()
     assert (moved.degree, moved.dimension) == (fresh.degree, fresh.dimension)
     assert span.permuted(range(n)).strata() == span.strata()
+    assert span.permuted(range(n))._rows == span._rows
 
 
 def test_trivial_subgroup_is_refused_before_any_basis(monkeypatch):
