@@ -50,14 +50,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_group(spec, consistent=False):
     """GroupSpec: a builtin selector or file:PATH with presentation
-    JSON.  consistent=True also runs the deep associativity check on
-    file groups, for paths whose results assume a consistent
+    JSON.  consistent=True also runs validate(), the associativity
+    check, on file groups, for paths whose results assume a consistent
     presentation and cannot detect one that is not."""
     if spec.startswith("file:"):
         with open(spec[5:], "r", encoding="utf-8") as fh:
             group = presentation_from_json(json.load(fh))
         if consistent:
-            group.validate(deep=True)
+            group.validate()
         return group
     return builtin(spec)
 

@@ -31,14 +31,11 @@ __all__ = [
     "UnitriangularMatrix",
     "RationalNilpotentMatrix",
     "RationalSquareMatrix",
-    "PositionBasis",
     "identity",
     "binary_power",
     "elementary",
     "commutator",
     "level_weight",
-    "malcev_coordinates",
-    "from_coordinates",
     "log_unipotent",
     "exp_nilpotent",
     "matrix_to_json",
@@ -312,88 +309,14 @@ def level_weight(m):
     return lead[0]
 
 
-class PositionBasis(_Frozen):
-    """Ordering of the strictly-upper positions of an n x n matrix.
-
-    Two flavors:
-
-    * ``lcs-standard``: by level (j - i ascending), then by row.  Every
-      tail of this order spans the subgroup of matrices at that depth.
-    * ``scheme``: by column ascending, within a column by row
-      descending.  Position weights are not monotone along this order
-      once n >= 4.
-
-    Both flavors are peel-compatible: peeling exponents greedily in
-    basis order (see malcev_coordinates) terminates at the identity.
-    """
-
-    FLAVORS = ("lcs-standard", "scheme")
-
-    __slots__ = ("n", "flavor", "positions", "weights")
-
-    def __init__(self, n, flavor="lcs-standard"):
-        if flavor not in self.FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        all_pos = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        if flavor == "lcs-standard":
-            all_pos.sort(key=lambda p: (p[1] - p[0], p[0]))
-        else:
-            all_pos.sort(key=lambda p: (p[1], -p[0]))
-        self._freeze(n=n, flavor=flavor, positions=tuple(all_pos),
-                     weights=tuple(j - i for i, j in all_pos))
-
-    def __len__(self):
-        return len(self.positions)
-
-    def __repr__(self):
-        return f"PositionBasis(n={self.n}, flavor={self.flavor!r})"
-
-
-def malcev_coordinates(m, basis):
-    """Exponent tuple of m along the basis order.
-
-    Greedy peel: the k-th coordinate is the current entry at the k-th
-    basis position; multiply by the inverse elementary on the left and
-    continue.  Valid for both basis flavors because each suffix of the
-    order generates the subgroup containing the peeled remainder.
-    """
-    if m.n != basis.n:
-        raise ValueError("size mismatch")
-    # Left-multiplying by the inverse elementary is the row operation
-    # row_i -= a * row_j: it clears (i, j) and subtracts a * N_j.
-    work = [dict(r) for r in m.entries]
-    coords = []
-    for i, j in basis.positions:
-        ri = work[i - 1]
-        a = ri.pop(j - 1, 0)
-        coords.append(a)
-        if a:
-            _add_into(ri, -a, work[j - 1])
-    if any(work):
-        raise ValueError("peel did not terminate; basis order is invalid")
-    return tuple(coords)
-
-
-def from_coordinates(coords, basis):
-    """Product of elementaries along the basis order; inverse of
-    malcev_coordinates."""
-    if len(coords) != len(basis.positions):
-        raise ValueError("coordinate length mismatch")
-    n = basis.n
-    out = identity(n)
-    for (i, j), a in zip(basis.positions, coords):
-        if a:
-            out = out * elementary(n, i, j, a)
-    return out
-
-
 class RationalNilpotentMatrix(_SparseMatrix):
     """Strictly upper triangular matrix over the rationals.
 
     The Lie-algebra side of the package: closed under +, -, scalar
     multiplication, matrix product and bracket(); a sum, product or
-    bracket of two sizes raises ValueError.  Entries are ints or
-    Fractions (see _exact); int entries stay ints through every
+    bracket of two sizes raises ValueError, and +, - or * with an
+    operand that is not such a matrix raises TypeError.  Entries are
+    ints or Fractions (see _exact); int entries stay ints through every
     operation, so an integer-scaled matrix brackets without forming a
     Fraction.
 
@@ -410,6 +333,8 @@ class RationalNilpotentMatrix(_SparseMatrix):
         self._set(n, entries)
 
     def __add__(self, other):
+        if not isinstance(other, RationalNilpotentMatrix):
+            return NotImplemented
         if other.n != self.n:
             raise ValueError("size mismatch")
         return _build(RationalNilpotentMatrix, self.n, [
@@ -418,6 +343,8 @@ class RationalNilpotentMatrix(_SparseMatrix):
         ])
 
     def __sub__(self, other):
+        if not isinstance(other, RationalNilpotentMatrix):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c):

@@ -26,8 +26,7 @@ integers for an integer-valued function, and evaluates it through
 integer binomials; monomials are formed only for act's result and
 FunctionModule.basis.  The bound, and so the result, assumes a
 consistent presentation: an inconsistent one gives a wrong module
-without an error, so check presentations from outside with
-validate(deep=True).
+without an error, so check presentations from outside with validate().
 """
 
 import itertools

@@ -12,6 +12,10 @@ Multiplication collects whole powers at once (with binary splitting of
 conjugation exponents), so exponents around 10^6 cost log, not linear,
 work.
 
+A presentation may carry its realization by elementary matrices, the
+group's Malcev basis in matrices: evaluate_coords maps an exponent
+tuple to its matrix, and malcev_coordinates maps the matrix back.
+
 The module also holds the Newton calculus that both embeddings share:
 lower sets of exponent tuples (_lower_set, and _grid, which lists one
 with its differencing walk), binomials C(a, e) of any integer a
@@ -25,9 +29,10 @@ from math import comb
 
 from .matgroup import (
     GuardError,
-    PositionBasis,
+    _add_into,
     _check_positions,
     _entry_from_json,
+    _Frozen,
     _ints,
     _sequence,
     binary_power,
@@ -38,23 +43,31 @@ __all__ = [
     "NilpotentPresentation",
     "builtin",
     "evaluate_coords",
+    "malcev_coordinates",
     "relation_failures",
     "presentation_to_json",
     "presentation_from_json",
 ]
 
 
-class NilpotentPresentation:
-    """Ordered generating set with graded commutator relations.
+class NilpotentPresentation(_Frozen):
+    """Ordered generating set with graded commutator relations, and
+    optionally its realization by matrices; an immutable record that
+    compares by identity.
 
     relations maps (j, i) with 1 <= i < j <= M to a length-M exponent
     tuple; absent keys mean the pair commutes.  weights[k] is the
     lower-central depth of x_{k+1}; every relation word must sit at
-    depth >= weights[i] + weights[j].
+    depth >= weights[i] + weights[j].  relations is a plain dict, the
+    one mutable part: the collector reads a relation the first time it
+    needs it and memoizes the conjugates, and validate() re-checks the
+    dict and collects afresh.
 
     positions/ambient_n optionally record a faithful realization by
-    elementary integer matrices, used for cross-checking: M pairs
-    (i, j) with 1 <= i < j <= ambient_n, given together with ambient_n.
+    elementary integer matrices, x_k going to s_ij for the k-th pair
+    (i, j) of positions: M pairs with 1 <= i < j <= ambient_n, given
+    together with ambient_n.  They are the group's Malcev basis in
+    matrices (see malcev_coordinates).
 
     relations may also be an iterable of ((j, i), word) pairs.  M,
     weights, relation keys, word entries, positions and ambient_n must
@@ -68,8 +81,11 @@ class NilpotentPresentation:
     label, printed as the group's name, must be a str or None.
     An ambient_n whose N(N-1)/2 exceeds MAX_POSITIONS (so N <= 724)
     raises GuardError before any matrix is built: the realization's
-    matrices (validate(deep=True)) have that size.
+    matrices (validate()) have that size.
     """
+
+    __slots__ = ("M", "weights", "relations", "label", "positions",
+                 "ambient_n", "_zero", "_conj_memo")
 
     def __init__(self, M, weights, relations, label=None, positions=None,
                  ambient_n=None):
@@ -117,16 +133,9 @@ class NilpotentPresentation:
                         f"1 <= i < j <= {ambient_n}"
                     )
             _check_positions(ambient_n, "ambient_n")
-        self.M = M
-        self.weights = weights
-        self.relations = rel
-        self.label = label
-        self.positions = positions
-        self.ambient_n = ambient_n
-        self._zero = (0,) * M
-        # 0-based lookup for the collector
-        self._rel0 = {(j - 1, i - 1): w for (j, i), w in rel.items()}
-        self._conj_memo = {}
+        self._freeze(M=M, weights=weights, relations=rel, label=label,
+                     positions=positions, ambient_n=ambient_n,
+                     _zero=(0,) * M, _conj_memo={})
 
     # -- group operations on exponent tuples --------------------------
 
@@ -189,7 +198,7 @@ class NilpotentPresentation:
         hit = self._conj_memo.get(key)
         if hit is not None:
             return hit
-        r = self._rel0.get((k, g))
+        r = self.relations.get((k + 1, g + 1))
         if e == 0 or r is None:
             out = tuple(1 if t == k else 0 for t in range(self.M))
         elif e == 1:
@@ -210,16 +219,15 @@ class NilpotentPresentation:
 
     # -- checks ---------------------------------------------------------
 
-    def validate(self, deep=False):
-        """Re-run the constructor's checks, the realization's included;
-        with deep=True also test associativity over all
-        generator/inverse triples and, when a matrix realization is
-        attached, check every relation on its matrices with
-        relation_failures."""
+    def validate(self):
+        """Re-run the constructor's checks, the realization's included,
+        on the relations as they are now; then test associativity over
+        all generator/inverse triples, collecting afresh, and, when a
+        matrix realization is attached, check every relation on its
+        matrices with relation_failures."""
         NilpotentPresentation(self.M, self.weights, self.relations, None,
                               self.positions, self.ambient_n)
-        if not deep:
-            return
+        self._conj_memo.clear()
         atoms = []
         for k in range(1, self.M + 1):
             g = self.generator(k)
@@ -262,6 +270,38 @@ def evaluate_coords(coords, images, one):
             power = img ** e
             out = power if out is None else out * power
     return one if out is None else out
+
+
+def malcev_coordinates(m, p):
+    """Exponent tuple a of the matrix m in the realization of p, so that
+    evaluate_coords(a, p.realized_generators(), identity(p.ambient_n))
+    is m.
+
+    Greedy peel along p.positions: the k-th coordinate is the current
+    entry at the k-th position, cleared by multiplying with the inverse
+    elementary on the left.  That finds every element of the builtin
+    realizations, where each suffix of the positions generates the
+    subgroup containing the peeled remainder.  ValueError when p has no
+    realization, or when m is not in its image.
+    """
+    if p.positions is None:
+        raise ValueError("presentation has no realization by matrices")
+    outside = ValueError("matrix is not in the image of the realization")
+    if m.n != p.ambient_n:
+        raise outside
+    # Left-multiplying by the inverse elementary is the row operation
+    # row_i -= a * row_j: it clears (i, j) and subtracts a * N_j.
+    work = [dict(r) for r in m.entries]
+    coords = []
+    for i, j in p.positions:
+        ri = work[i - 1]
+        a = ri.pop(j - 1, 0)
+        coords.append(a)
+        if a:
+            _add_into(ri, -a, work[j - 1])
+    if any(work):
+        raise outside
+    return tuple(coords)
 
 
 def _lower_set(weights, top):
@@ -383,14 +423,25 @@ def _size(name, text):
     return m
 
 
+# the sort key of position (i, j) in each ut:m flavor.  lcs-standard:
+# by level j - i, then by row, so that every tail of the order spans
+# the matrices at that depth.  scheme: by column, within a column by
+# row descending; weights are not monotone along it once m >= 4.  Both
+# orders are peel-compatible (see malcev_coordinates).
+_FLAVORS = {
+    "lcs-standard": lambda pos: (pos[1] - pos[0], pos[0]),
+    "scheme": lambda pos: (pos[1], -pos[0]),
+}
+
+
 def builtin(name):
     """Stock presentations.
 
     * ``ut:m`` or ``ut:m:scheme``: all elementary positions of the m x m
-      unitriangular group, ordered by the named PositionBasis flavor,
-      with the relations of elementary matrices in closed form:
-      [s_kl, s_lj] = s_kj and [s_kl, s_ik] = s_il^-1, every other pair
-      commuting.
+      unitriangular group, each of weight j - i, ordered by the named
+      flavor (_FLAVORS), with the relations of elementary matrices in
+      closed form: [s_kl, s_lj] = s_kj and [s_kl, s_ik] = s_il^-1,
+      every other pair commuting.
     * ``heisenberg:n``: 2n+1 generators, [x_{n+i}, x_i] = x_{2n+1}^-1,
       realized inside the (n+2) x (n+2) unitriangular group.
     * ``freenil23``: rank-2 class-3 free nilpotent group on the Hall
@@ -410,19 +461,24 @@ def builtin(name):
             raise ValueError("ut:m needs m >= 2")
         _check_relation_entries(name, comb(m, 3), m * (m - 1) // 2)
         flavor = parts[2] if len(parts) == 3 else "lcs-standard"
-        basis = PositionBasis(m, flavor)
-        at = {pos: t for t, pos in enumerate(basis.positions)}
+        if flavor not in _FLAVORS:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        positions = sorted(
+            ((i, j) for j in range(2, m + 1) for i in range(1, j)),
+            key=_FLAVORS[flavor],
+        )
+        at = {pos: t for t, pos in enumerate(positions)}
         rels = {}
         # [s_kl, s_lb] = s_kb and [s_kl, s_ak] = s_al^-1; the rest commute
-        for j, (k, l) in enumerate(basis.positions, 1):
-            for i, (a, b) in enumerate(basis.positions[:j - 1], 1):
+        for j, (k, l) in enumerate(positions, 1):
+            for i, (a, b) in enumerate(positions[:j - 1], 1):
                 if l == a or b == k:
                     t, e = (at[(k, b)], 1) if l == a else (at[(a, l)], -1)
                     rels[(j, i)] = tuple(e * (s == t) for s in range(len(at)))
         label = f"ut:{m}" if flavor == "lcs-standard" else f"ut:{m}:{flavor}"
         return NilpotentPresentation(
-            len(at), basis.weights, rels, label=label,
-            positions=basis.positions, ambient_n=m,
+            len(at), [j - i for i, j in positions], rels, label=label,
+            positions=positions, ambient_n=m,
         )
     if kind == "heisenberg":
         if len(parts) != 2:

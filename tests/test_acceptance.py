@@ -131,7 +131,7 @@ RECORDS = {
     "EmbeddingResult": lambda: jennings.jennings_embedding(
         presentation.builtin("ut:3")
     ),
-    "PositionBasis": lambda: matgroup.PositionBasis(3),
+    "NilpotentPresentation": lambda: presentation.builtin("ut:3"),
     "CoordinatePolynomial": lambda: nickel.CoordinatePolynomial.coordinate(
         3, 1
     ),

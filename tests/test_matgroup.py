@@ -6,21 +6,19 @@ from fractions import Fraction
 import pytest
 
 from nilmat.matgroup import (
-    PositionBasis,
     RationalNilpotentMatrix,
     RationalSquareMatrix,
     UnitriangularMatrix,
     commutator,
     elementary,
     exp_nilpotent,
-    from_coordinates,
     identity,
     level_weight,
     log_unipotent,
-    malcev_coordinates,
     matrix_from_json,
     matrix_to_json,
 )
+from nilmat.presentation import builtin, evaluate_coords, malcev_coordinates
 
 
 def random_element(rng, n, length=6, span=3):
@@ -93,40 +91,50 @@ def test_level_weight_and_level_subgroup():
 
 
 def test_position_basis_flavors():
-    lcs = PositionBasis(4, "lcs-standard")
+    lcs = builtin("ut:4")
     assert lcs.positions == ((1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4))
     assert lcs.weights == (1, 1, 1, 2, 2, 3)
-    scheme = PositionBasis(4, "scheme")
+    scheme = builtin("ut:4:scheme")
     assert scheme.positions == (
         (1, 2), (2, 3), (1, 3), (3, 4), (2, 4), (1, 4)
     )
     assert scheme.weights == (1, 1, 2, 1, 2, 3)
-    with pytest.raises(ValueError):
-        PositionBasis(4, "rowwise")
+    with pytest.raises(ValueError, match="^unknown flavor 'rowwise'$"):
+        builtin("ut:4:rowwise")
 
 
 def test_coordinates_roundtrip_both_flavors():
+    # malcev_coordinates inverts evaluate_coords over the realization
     rng = random.Random(202)
-    for flavor in ("lcs-standard", "scheme"):
-        basis = PositionBasis(5, flavor)
+    for name in ("ut:5", "ut:5:scheme", "heisenberg:3"):
+        p = builtin(name)
+        gens, one = p.realized_generators(), identity(p.ambient_n)
         for _ in range(40):
-            coords = tuple(
-                rng.randint(-9, 9) for _ in range(len(basis.positions))
-            )
-            g = from_coordinates(coords, basis)
-            assert tuple(malcev_coordinates(g, basis)) == coords
+            coords = tuple(rng.randint(-9, 9) for _ in range(p.M))
+            g = evaluate_coords(coords, gens, one)
+            assert malcev_coordinates(g, p) == coords
+
+
+def test_malcev_coordinates_refusals():
+    with pytest.raises(ValueError, match="^presentation has no realization"):
+        malcev_coordinates(identity(3), builtin("freenil23"))
+    # heisenberg:2 is realized in UT_4, without the position (2, 3)
+    outside = "^matrix is not in the image of the realization$"
+    for m in (elementary(4, 2, 3), identity(5), elementary(3, 1, 2)):
+        with pytest.raises(ValueError, match=outside):
+            malcev_coordinates(m, builtin("heisenberg:2"))
 
 
 def test_coordinates_of_products_start_additively():
     # first-level coordinates add because corrections sit deeper
-    basis = PositionBasis(4, "lcs-standard")
+    p = builtin("ut:4")
     rng = random.Random(303)
     for _ in range(20):
         a = random_element(rng, 4)
         b = random_element(rng, 4)
-        ca = malcev_coordinates(a, basis)
-        cb = malcev_coordinates(b, basis)
-        cab = malcev_coordinates(a * b, basis)
+        ca = malcev_coordinates(a, p)
+        cb = malcev_coordinates(b, p)
+        cab = malcev_coordinates(a * b, p)
         assert cab[0] == ca[0] + cb[0]
         assert cab[1] == ca[1] + cb[1]
         assert cab[2] == ca[2] + cb[2]
@@ -162,6 +170,10 @@ def test_rational_nilpotent_keeps_int_entries():
     y = RationalNilpotentMatrix(((0, 1, 5), (0, 0, 1), (0, 0, 0)))
     for z in (x + y, x - y, x * y, x.bracket(y), x.scale(4)):
         assert all(type(e) is int for row in z.rows for e in row)
+    # an operand that is not a matrix is refused as * refuses it
+    for bad in (lambda: x + 1, lambda: x - 1, lambda: 1 + x, lambda: x * 2):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            bad()
     assert x.bracket(y).rows[0][2] == -1
     assert x.scale(Fraction(1, 2)).rows[0][1] == 1
     # exp divides by factorials exactly, never in floating point

@@ -13,6 +13,7 @@ of class 3); heisenberg:2 gets a closed-form oracle instead.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,17 +22,16 @@ from nilmat import presentation
 from nilmat.distortion import GuardError
 from nilmat.jennings import jennings_embedding
 from nilmat.matgroup import (
-    PositionBasis,
     UnitriangularMatrix,
     commutator,
     elementary,
     identity,
-    malcev_coordinates,
 )
 from nilmat.presentation import (
     NilpotentPresentation,
     builtin,
     evaluate_coords,
+    malcev_coordinates,
     presentation_from_json,
     presentation_to_json,
     relation_failures,
@@ -289,23 +289,25 @@ def test_builtin_rejects_bad_selectors():
     assert builtin("ut:3:lcs-standard").label == "ut:3"
 
 
-@pytest.mark.parametrize("flavor", PositionBasis.FLAVORS)
+@pytest.mark.parametrize("flavor", list(presentation._FLAVORS))
 @pytest.mark.parametrize("m", range(2, 9))
 def test_builtin_ut_relations_match_matrix_commutators(m, flavor):
     # oracle: each pair's matrix commutator, peeled into Malcev
-    # coordinates over the same position basis
-    basis = PositionBasis(m, flavor)
-    gens = [elementary(m, i, j) for i, j in basis.positions]
+    # coordinates over the group's own positions
+    name = f"ut:{m}" if flavor == "lcs-standard" else f"ut:{m}:{flavor}"
+    p = builtin(name)
+    every = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    key = presentation._FLAVORS[flavor]
+    assert p.positions == tuple(sorted(every, key=key))
+    assert p.weights == tuple(j - i for i, j in p.positions)
+    gens = p.realized_generators()
     want = {}
     for j in range(2, len(gens) + 1):
         for i in range(1, j):
             c = commutator(gens[j - 1], gens[i - 1])
             if not c.is_identity:
-                want[(j, i)] = malcev_coordinates(c, basis)
-    name = f"ut:{m}" if flavor == "lcs-standard" else f"ut:{m}:{flavor}"
-    p = builtin(name)
+                want[(j, i)] = malcev_coordinates(c, p)
     assert p.relations == want
-    assert p.positions == basis.positions and p.weights == basis.weights
 
 
 @pytest.mark.parametrize("relations", [
@@ -359,8 +361,9 @@ def test_builtin_size_cap(monkeypatch):
         raise AssertionError("a matrix was built")
 
     monkeypatch.setattr(presentation, "elementary", no_matrix)
-    monkeypatch.setattr(presentation, "PositionBasis", no_matrix)
-    # ut:m stores C(m, 3) words of m(m-1)/2 entries, heisenberg:n n of 2n+1
+    # ut:m stores C(m, 3) words of m(m-1)/2 entries, heisenberg:n n of
+    # 2n+1; the refusal comes before any position is listed, which for
+    # ut:100 would take over 300 KiB
     for name, words, M in (
         ("ut:16", 560, 120),
         ("ut:100", 161700, 4950),
@@ -368,12 +371,18 @@ def test_builtin_size_cap(monkeypatch):
         ("heisenberg:181", 181, 363),
         ("heisenberg:2000", 2000, 4001),
     ):
-        with pytest.raises(GuardError) as info:
-            builtin(name)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError) as info:
+                builtin(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert (
             f"{words} relation words of {M} entries, {words * M} in all; "
             f"the cap is {cap}"
         ) in str(info.value), name
+        assert peak < 64 * 1024, name
 
 
 def test_deep_validation_flags_inconsistent_relations():
@@ -383,9 +392,16 @@ def test_deep_validation_flags_inconsistent_relations():
     }
     p = NilpotentPresentation(5, (1, 1, 1, 2, 3), relations, label="bad")
     with pytest.raises(ValueError, match="associativity"):
-        p.validate(deep=True)
+        p.validate()
     for name in ORACLE_NAMES:
-        builtin(name).validate(deep=True)
+        builtin(name).validate()
+    # the same edit made after a check has filled the collector's memo:
+    # validate collects afresh from the dict as it is now
+    q = NilpotentPresentation(5, (1, 1, 1, 2, 3), {(2, 1): (0, 0, 0, 1, 0)})
+    q.validate()
+    q.relations[(4, 3)] = (0, 0, 0, 0, 1)
+    with pytest.raises(ValueError, match="associativity"):
+        q.validate()
 
 
 def test_relation_failures_reports_bad_images():
@@ -405,7 +421,23 @@ def test_deep_validate_names_the_broken_relation():
     with pytest.raises(
         ValueError, match=r"realization breaks relation \(2, 1\)"
     ):
-        p.validate(deep=True)
+        p.validate()
+
+
+def test_edited_relations_reach_the_collector():
+    # the collector reads the one relations dict that relation_failures,
+    # validate and the wire form read; there is no second copy
+    q = builtin("ut:3")
+    q.relations[(2, 1)] = (0, 0, 1)
+    assert q.multiply((0, 1, 0), (1, 0, 0)) == (1, 1, 1)
+    assert relation_failures(q, q.realized_generators()) == [(2, 1)]
+    assert presentation_to_json(q)["relations"][0]["word"] == [0, 0, 1]
+    with pytest.raises(ValueError, match=r"breaks relation \(2, 1\)"):
+        q.validate()
+    # the constructor's checks are re-run on the edited dict
+    q.relations[(2, 1)] = (0, 1, 0)
+    with pytest.raises(ValueError, match="not past x_2"):
+        q.validate()
 
 
 STOCK_NAMES = ORACLE_NAMES + (
