@@ -26,6 +26,7 @@ from .distortion import (
     subgroup_to_json,
 )
 from .jennings import (
+    ORDERS,
     JenningsBasis,
     _survey,
     embedding_to_json,
@@ -48,14 +49,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _file_json(spec):
+    """The JSON in the file that spec, file:PATH, names."""
+    with open(spec[5:], "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_group(spec, consistent=False):
     """GroupSpec: a builtin selector or file:PATH with presentation
     JSON.  consistent=True also runs validate(), the associativity
     check, on file groups, for paths whose results assume a consistent
     presentation and cannot detect one that is not."""
     if spec.startswith("file:"):
-        with open(spec[5:], "r", encoding="utf-8") as fh:
-            group = presentation_from_json(json.load(fh))
+        group = presentation_from_json(_file_json(spec))
         if consistent:
             group.validate()
         return group
@@ -65,15 +71,12 @@ def _load_group(spec, consistent=False):
 def _load_subgroup(spec):
     """SubgroupSpec: file:PATH or '-' for stdin, JSON either way."""
     if spec == "-":
-        payload = sys.stdin.read()
-    elif spec.startswith("file:"):
-        with open(spec[5:], "r", encoding="utf-8") as fh:
-            payload = fh.read()
-    else:
-        raise UsageError(
-            f"subgroup source must be 'file:PATH' or '-', got {spec!r}"
-        )
-    return subgroup_from_json(json.loads(payload))
+        return subgroup_from_json(json.load(sys.stdin))
+    if spec.startswith("file:"):
+        return subgroup_from_json(_file_json(spec))
+    raise UsageError(
+        f"subgroup source must be 'file:PATH' or '-', got {spec!r}"
+    )
 
 
 def _emit(args, payload, table):
@@ -119,7 +122,7 @@ def _parse_order(text, kind):
     if text is None:
         return "weight-lex" if kind == "jennings" else None
     if kind == "jennings":
-        if text in ("weight-lex", "scheme-perturbed"):
+        if text in ORDERS:
             return text
         try:
             return tuple(map(_entry_from_json, text.split(",")))
@@ -270,14 +273,25 @@ def build_parser():
             "--out", default=None, help="write output to a file"
         )
 
+    def group(p):
+        p.add_argument("kind", choices=("jennings", "nickel"))
+        p.add_argument(
+            "group",
+            help="ut:m[:flavor], heisenberg:n, freenil23, or file:PATH",
+        )
+
+    def subgroup(p):
+        p.add_argument(
+            "subgroup",
+            nargs="?",
+            default="-",
+            help="file:PATH with subgroup JSON, or - for stdin (default)",
+        )
+
     p = sub.add_parser(
         "embed", help="build an embedding and print its matrices"
     )
-    p.add_argument("kind", choices=("jennings", "nickel"))
-    p.add_argument(
-        "group",
-        help="ut:m[:flavor], heisenberg:n, freenil23, or file:PATH",
-    )
+    group(p)
     p.add_argument(
         "--order",
         default=None,
@@ -298,12 +312,7 @@ def build_parser():
     p = sub.add_parser(
         "distortion", help="distortion report for a matrix subgroup"
     )
-    p.add_argument(
-        "subgroup",
-        nargs="?",
-        default="-",
-        help="file:PATH with subgroup JSON, or - for stdin (default)",
-    )
+    subgroup(p)
     common(p)
     p.set_defaults(func=cmd_distortion)
 
@@ -319,11 +328,7 @@ def build_parser():
     p = sub.add_parser(
         "orderings", help="survey basis orderings for an embedding"
     )
-    p.add_argument("kind", choices=("jennings", "nickel"))
-    p.add_argument(
-        "group",
-        help="ut:m[:flavor], heisenberg:n, freenil23, or file:PATH",
-    )
+    group(p)
     p.add_argument(
         "--exhaustive",
         action="store_true",
@@ -335,12 +340,7 @@ def build_parser():
     p = sub.add_parser(
         "empirical", help="exact distortion table by ball search"
     )
-    p.add_argument(
-        "subgroup",
-        nargs="?",
-        default="-",
-        help="file:PATH with subgroup JSON, or - for stdin (default)",
-    )
+    subgroup(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument(
         "--cap",

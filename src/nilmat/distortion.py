@@ -48,6 +48,7 @@ from .matgroup import (
     _build,
     _check_positions,
     _entry_from_json,
+    _fields,
     _Frozen,
     _lead,
     _log_numerator,
@@ -144,11 +145,7 @@ def subgroup_to_json(sub):
 
 
 def subgroup_from_json(obj):
-    try:
-        n = obj["N"]
-        gens = obj["generators"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed subgroup object: {exc}") from exc
+    n, gens = _fields(obj, "subgroup object", ("N", "generators"))
     return SubgroupGens(
         n, [matrix_from_json(g) for g in _sequence(gens, "generators")]
     )

@@ -24,7 +24,7 @@ an elementary matrix with a single off-diagonal entry.
 import operator
 import re
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 
 __all__ = [
     "GuardError",
@@ -151,8 +151,10 @@ def _exact(e):
 
 
 def _sparse(rows):
-    """(n, entries) of square rows, keeping every nonzero entry as
-    _exact gives it; ValueError when the rows are not square."""
+    """(n, entries) of square rows, keeping every nonzero entry, the
+    diagonal included, as _exact gives it; ValueError when the rows
+    are not square.  The reader of the two rational classes;
+    UnitriangularMatrix reads its int rows itself, in one pass."""
     rows = tuple(rows)
     n = len(rows)
     entries = []
@@ -174,26 +176,36 @@ class UnitriangularMatrix(_SparseMatrix):
     N = m - I is ``entries`` itself.  Products and inverses walk only
     these, and a product reuses the right factor's row where the left
     factor's row is a unit row.
+
+    The constructor reads each row once: it must have n entries
+    ("matrix is not square"), all ints ("matrix entries must be
+    integers"), a 1 on the diagonal ("diagonal entry is not 1") and
+    zeros before it ("nonzero entry below the diagonal"), checked in
+    that order; the row's dict is built from the strictly-upper slice.
+    A matrix with faults in several rows is refused for the first.
     """
 
     __slots__ = ()
     _diagonal = 1
 
     def __init__(self, rows):
-        # every entry, a zero included, must be an int (a bool is not):
-        # _sparse drops zeros, so the type check runs on the rows
-        rows = tuple(map(tuple, rows))
-        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
-            raise ValueError("matrix entries must be integers")
-        n, entries = _sparse(rows)
-        for i, r in enumerate(entries):
-            if r.get(i) != 1:
+        rows = tuple(rows)
+        n = len(rows)
+        entries = []
+        for i, row in enumerate(rows):
+            row = tuple(row)
+            if len(row) != n:
+                raise ValueError("matrix is not square")
+            # a zero, too, must be an int, and a bool is not one
+            if not {int}.issuperset(map(type, row)):
+                raise ValueError("matrix entries must be integers")
+            if row[i] != 1:
                 raise ValueError("diagonal entry is not 1")
-            if min(r) < i:
+            if any(row[:i]):
                 raise ValueError("nonzero entry below the diagonal")
-            # a new dict: popping the diagonal would leave r's table
-            # sized for it, held as long as the matrix is
-            entries[i] = {j: e for j, e in r.items() if j > i}
+            entries.append(
+                {j: e for j, e in enumerate(row[i + 1:], i + 1) if e}
+            )
         self._set(n, entries)
 
     def entry(self, i, j):
@@ -513,15 +525,26 @@ def matrix_to_json(m):
 
 def matrix_from_json(obj):
     """Inverse of matrix_to_json.  Raises ValueError on malformed input."""
-    try:
-        n = obj["n"]
-        rows = obj["rows"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
+    n, rows = _fields(obj, "matrix object", ("n", "rows"))
     n = _entry_from_json(n, "matrix size n")
     if len(_sequence(rows, "matrix rows")) != n:
         raise ValueError("matrix row count does not match n")
     return UnitriangularMatrix(_ints(row, "matrix row") for row in rows)
+
+
+def _fields(obj, what, names, optional=()):
+    """The fields of a wire object: obj[name] for each of names, then
+    obj.get(name) for each of optional, in one list.  A TypeError,
+    KeyError or AttributeError on the way (obj not a JSON object, a
+    required name missing) raises ValueError("malformed {what}: ...")
+    with the original message, the one refusal every reader of a wire
+    object gives for a bad shape."""
+    try:
+        return [obj[name] for name in names] + [
+            obj.get(name) for name in optional
+        ]
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
 
 
 _is_decimal = re.compile(r"[+-]?[0-9]+").fullmatch

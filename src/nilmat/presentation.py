@@ -32,6 +32,7 @@ from .matgroup import (
     _add_into,
     _check_positions,
     _entry_from_json,
+    _fields,
     _Frozen,
     _ints,
     _sequence,
@@ -533,21 +534,14 @@ def presentation_from_json(obj):
     """Inverse of presentation_to_json.  ValueError on malformed input,
     and GuardError for an ambient_n past the cap, as
     NilpotentPresentation raises them; this only unpacks the fields."""
-    try:
-        M = obj["M"]
-        weights = obj["weights"]
-        raw = obj["relations"]
-        label = obj.get("label")
-        positions = obj.get("positions")
-        ambient_n = obj.get("ambient_n")
-    except (TypeError, KeyError, AttributeError) as exc:
-        raise ValueError(f"malformed presentation object: {exc}") from exc
+    M, weights, raw, label, positions, ambient_n = _fields(
+        obj, "presentation object", ("M", "weights", "relations"),
+        ("label", "positions", "ambient_n"),
+    )
     rels = []
     for item in _sequence(raw, "relations"):
-        try:
-            rels.append(((item["j"], item["i"]), item["word"]))
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed relation entry: {exc}") from exc
+        j, i, word = _fields(item, "relation entry", ("j", "i", "word"))
+        rels.append(((j, i), word))
     return NilpotentPresentation(
         M, weights, rels, label=label, positions=positions,
         ambient_n=ambient_n,

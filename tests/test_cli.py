@@ -652,6 +652,29 @@ def test_usage_errors(capsys):
     assert "usage" in out
 
 
+# sha256 of --help at 80 columns; embed and orderings declare kind and
+# group through one helper, distortion and empirical subgroup through
+# another
+PINNED_HELP = {
+    "embed":
+        "d06bab0ff93f3811ee5811e7db9b764c267cc20bfe8ba3aff0f72a914361b1db",
+    "orderings":
+        "4d611ecb8853f70d6e62f85f8b9caa4e7db32effc7c2b6b51c032f69014d01fc",
+    "distortion":
+        "e9e07c23824df86022d4e408ddb8487fcab553624bd4d876f3da32e54dd807d1",
+    "empirical":
+        "6e1890b263ba7c2d0ce311e92f0fe6291e0562be208e360a28e71b37bbc32759",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_HELP))
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, err = run(capsys, command, "--help")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP[command]
+
+
 def test_subgroup_size_cap_exit_3(capsys, monkeypatch):
     n = 725  # N(N-1)/2 = 262450, just above the cap of 2^18
     sub = SubgroupGens(n, [elementary(n, 1, 2)])

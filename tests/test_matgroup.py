@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilmat.distortion import subgroup_from_json
 from nilmat.matgroup import (
     RationalNilpotentMatrix,
     RationalSquareMatrix,
@@ -18,7 +19,12 @@ from nilmat.matgroup import (
     matrix_from_json,
     matrix_to_json,
 )
-from nilmat.presentation import builtin, evaluate_coords, malcev_coordinates
+from nilmat.presentation import (
+    builtin,
+    evaluate_coords,
+    malcev_coordinates,
+    presentation_from_json,
+)
 
 
 def random_element(rng, n, length=6, span=3):
@@ -52,6 +58,32 @@ def test_constructor_rejects_bad_shapes():
     for alpha in (0.5, True):
         with pytest.raises(ValueError, match="must be integers"):
             elementary(2, 1, 2, alpha)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((1, 0), (0,)), "matrix is not square"),
+    (((1, 0.0), (0, 1)), "matrix entries must be integers"),
+    (((1, 0), (0, 2)), "diagonal entry is not 1"),
+    (((1, 0, 0), (0, 1, 0), (0, 5, 1)), "nonzero entry below the diagonal"),
+])
+def test_constructor_single_fault_messages(rows, message):
+    with pytest.raises(ValueError) as exc:
+        UnitriangularMatrix(rows)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a bad diagonal in row 0 before a float in row 1
+    (((2, 0), (0, 1.0)), "diagonal entry is not 1"),
+    # an entry below the diagonal in row 1 before a short row 2
+    (((1, 0, 0), (1, 1, 0), (0, 1)), "nonzero entry below the diagonal"),
+    # two faults in one row: the row's checks run in a fixed order
+    (((1, 0), (0.0, 2)), "matrix entries must be integers"),
+])
+def test_constructor_first_faulty_row_decides(rows, message):
+    with pytest.raises(ValueError) as exc:
+        UnitriangularMatrix(rows)
+    assert str(exc.value) == message
 
 
 def test_elementary_product_fills_entry():
@@ -232,6 +264,44 @@ def test_matrix_json_roundtrip_keeps_big_integers():
     obj = matrix_to_json(g)
     assert obj["rows"][0][2] == str(big)
     assert matrix_from_json(obj) == g
+
+
+_MATRIX = {"n": 2, "rows": [["1", "1"], ["0", "1"]]}
+_READERS = {
+    "matrix object": (matrix_from_json, _MATRIX),
+    "subgroup object": (
+        subgroup_from_json, {"N": 2, "generators": [_MATRIX]}
+    ),
+    "presentation object": (
+        presentation_from_json, {"M": 2, "weights": [1, 1], "relations": []}
+    ),
+    # one relation entry of a presentation of three generators
+    "relation entry": (
+        lambda item: presentation_from_json(
+            {"M": 3, "weights": [1, 1, 2], "relations": [item]}
+        ),
+        {"j": 2, "i": 1, "word": [0, 0, 1]},
+    ),
+}
+
+
+@pytest.mark.parametrize("what, bad, detail", [
+    (what, bad, detail)
+    for what, (_, good) in _READERS.items()
+    for bad, detail in [
+        ([], "list indices must be integers or slices, not str"),
+        (5, "'int' object is not subscriptable"),
+    ] + [
+        ({k: v for k, v in good.items() if k != name}, repr(name))
+        for name in good
+    ]
+])
+def test_wire_readers_refuse_bad_shapes(what, bad, detail):
+    reader, good = _READERS[what]
+    reader(good)
+    with pytest.raises(ValueError) as exc:
+        reader(bad)
+    assert str(exc.value) == f"malformed {what}: {detail}"
 
 
 def test_immutability():
